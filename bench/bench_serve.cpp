@@ -1,18 +1,15 @@
-// Closed-loop load generator for the serving tier: C clients per bundle
-// hammer the four built-in designs and every request's latency is
-// recorded. Five configurations run back to back:
+// Closed-loop load generator for the scoring daemon's engine: C clients
+// per bundle hammer the four built-in designs and every request's latency
+// is recorded. Three configurations run back to back on one
+// ScoringEngine with 2 worker threads:
 //
-//   daemon-nobatch  single ScoringEngine, batch_max=1 (the pre-fleet
-//                   daemon baseline)
-//   fleet@1 / fleet@2 / fleet@4
-//                   the sharded router with cross-connection batching
-//   fleet@4-nobatch the same 4-shard fleet with batching disabled, to
-//                   separate what sharding buys from what batching buys
-//   fleet@2-trace / fleet@2-notrace
-//                   identical 2-shard load with the request-trace
-//                   collector enabled vs disabled — the tracing-overhead
-//                   A/B the observability contract is judged by
-//                   (<= 2% p99 delta, docs/OBSERVABILITY.md)
+//   daemon          no request-trace collector wired at all
+//   daemon-trace / daemon-notrace
+//                   identical load through a request-trace collector that
+//                   is enabled vs disabled, each request begun and
+//                   finished exactly as serve::Server does — the
+//                   tracing-overhead A/B the observability contract is
+//                   judged by (<= 2% p99 delta, docs/OBSERVABILITY.md)
 //
 //   bench_serve [--clients C] [--requests R]
 //
@@ -20,13 +17,13 @@
 // "<config>.req_per_s", "<config>.p50_ms", "<config>.p90_ms",
 // "<config>.p99_ms" (the Recorder schema's wall_ms field carries the
 // stat named by the suffix) — so the throughput trajectory is tracked
-// across commits like every other bench. The acceptance comparison is
-// fleet@4.req_per_s vs daemon-nobatch.req_per_s.
+// across commits like every other bench.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,10 +32,10 @@
 
 #include "bench_common.hpp"
 #include "src/designs/designs.hpp"
-#include "src/fleet/fleet.hpp"
 #include "src/graphir/features.hpp"
 #include "src/ml/gcn.hpp"
 #include "src/netlist/verilog_writer.hpp"
+#include "src/obs/request_trace.hpp"
 #include "src/serve/bundle.hpp"
 #include "src/serve/engine.hpp"
 
@@ -55,7 +52,7 @@ struct Workload {
 // Random-weight bundles over the real built-in designs: the full serving
 // path runs (parse, stats sim, features, forward) without paying for
 // training. Wider hidden layers than the tests use, so the forward pass
-// batching amortizes is a real fraction of the request.
+// is a real fraction of the request.
 Workload build_workload() {
   Workload w;
   w.dir = (std::filesystem::temp_directory_path() / "fcrit_bench_serve")
@@ -161,18 +158,6 @@ void report(bench::Recorder& rec, const std::string& config,
   rec.phase(config + ".p99_ms", s.p99_ms);
 }
 
-fleet::FleetConfig fleet_config(const Workload& w, int shards,
-                                std::size_t batch_max) {
-  fleet::FleetConfig fc;
-  fc.bundle_dir = w.dir;
-  fc.shards = shards;
-  fc.threads_per_shard = 2;
-  fc.queue_capacity = 256;
-  fc.queue_high_water = 256;  // closed loop never sheds: measure, don't reject
-  fc.batch_max = batch_max;
-  return fc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,55 +177,32 @@ int main(int argc, char** argv) {
   bench::Recorder rec("serve");
 
   {
-    // The pre-fleet baseline: one daemon engine, no coalescing. Thread
-    // count matches a single fleet shard so the comparison isolates the
-    // serving-tier changes, not raw worker parallelism.
-    serve::ScoringEngine engine(
-        {.threads = 2, .queue_capacity = 256, .batch_max = 1});
-    report(rec, "daemon-nobatch",
+    serve::ScoringEngine engine({.threads = 2, .queue_capacity = 256});
+    report(rec, "daemon",
            run_load(w, clients, requests,
                     [&](const std::string& bundle, const std::string& target) {
                       return engine.submit(bundle, target).get();
                     }));
   }
 
-  for (int shards : {1, 2, 4}) {
-    fleet::Fleet fleet(fleet_config(w, shards, 8));
-    report(rec, "fleet@" + std::to_string(shards),
-           run_load(w, clients, requests,
-                    [&](const std::string& bundle, const std::string& target) {
-                      return fleet.score(bundle, target);
-                    }));
-  }
-
-  {
-    // 4 shards, batching off: the sharding-only control that separates
-    // router parallelism from coalesced forwards.
-    fleet::Fleet fleet(fleet_config(w, 4, 1));
-    report(rec, "fleet@4-nobatch",
-           run_load(w, clients, requests,
-                    [&](const std::string& bundle, const std::string& target) {
-                      return fleet.score(bundle, target);
-                    }));
-  }
-
-  // Tracing overhead A/B: the same 2-shard batched load with the request-
-  // trace collector on vs off. Every traced request pays begin/spans/
-  // finish; disabled tracing must cost one relaxed atomic load. The
-  // acceptance bar is a <= 2% p99 delta between these two legs.
+  // Tracing overhead A/B: the same load with the request-trace collector
+  // on vs off. Every traced request pays begin/spans/finish; disabled
+  // tracing must cost one relaxed atomic load per site. The acceptance
+  // bar is a <= 2% p99 delta between these two legs.
   for (const bool tracing : {true, false}) {
-    fleet::FleetConfig fc = fleet_config(w, 2, 8);
-    fc.tracing = tracing;
-    fc.trace_ring = 512;
-    fleet::Fleet fleet(fc);
-    report(rec, tracing ? "fleet@2-trace" : "fleet@2-notrace",
+    obs::RequestTraceCollector traces(512);
+    traces.set_enabled(tracing);
+    serve::ScoringEngine engine(
+        {.threads = 2, .queue_capacity = 256, .traces = &traces});
+    report(rec, tracing ? "daemon-trace" : "daemon-notrace",
            run_load(w, clients, requests,
                     [&](const std::string& bundle, const std::string& target) {
-                      // Route through the collector exactly as the daemon
-                      // does: begin here, Fleet::score owns completion.
                       serve::ScoreOptions opts;
-                      opts.trace_id = fleet.traces().begin(bundle, target);
-                      return fleet.score(bundle, target, opts);
+                      opts.trace_id = traces.begin(bundle, target);
+                      serve::ScoreResult r =
+                          engine.submit(bundle, target, opts).get();
+                      traces.finish(opts.trace_id, "ok");
+                      return r;
                     }));
   }
 

@@ -1,14 +1,43 @@
 #include "src/serve/server.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
+#include "src/obs/exporter.hpp"
+#include "src/obs/json.hpp"
+#include "src/obs/prom.hpp"
 #include "src/obs/request_trace.hpp"
 #include "src/util/text.hpp"
 
 namespace fcrit::serve {
+
+namespace {
+
+void send_all(int fd, const std::string& text) {
+  std::size_t sent = 0;
+  while (sent < text.size()) {
+    const ssize_t n = ::send(fd, text.data() + sent, text.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) return;  // peer gone; nothing sensible to do
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+}  // namespace
+
+std::string error_response(const std::string& message) {
+  return "ERR " + message + "\n.\n";
+}
 
 ScoreRequest parse_score_request(const std::vector<std::string>& args,
                                  int default_top) {
@@ -97,15 +126,14 @@ std::string format_score_response(const ScoreResult& r, int top) {
 }
 
 Server::Server(ScoringEngine& engine, ServerConfig config)
-    : LineServer(config.port), engine_(engine), config_(std::move(config)) {
-  // The TRACE verb and METRICS trace_ring field read the engine's
-  // collector when one was wired into EngineConfig (the CLI does both).
-  set_trace_collector(engine_.trace_collector());
-}
+    : engine_(engine),
+      config_(std::move(config)),
+      rejected_lines_(
+          &engine_.metrics_registry().counter("serve.rejected_line_bytes")) {}
 
 Server::~Server() {
-  // Drain connections before engine_/config_ go away (the base dtor would
-  // be too late: handle_line runs on connection threads).
+  // Drain connections before engine_/config_ go away: handle_line runs on
+  // connection threads.
   stop();
 }
 
@@ -118,8 +146,8 @@ std::string Server::handle_line(const std::string& line) {
 
   if (verb == "METRICS") {
     if (tokens.size() > 1 && tokens[1] == "PROM")
-      return prom_response({obs::PromSource{"", &engine_.metrics_registry()}});
-    return metrics_response(engine_.metrics_json());
+      return obs::to_prometheus(engine_.metrics_registry()) + ".\n";
+    return metrics_response();
   }
 
   if (verb == "TRACE")
@@ -137,7 +165,7 @@ std::string Server::handle_line(const std::string& line) {
   }
 
   if (verb == "SCORE") {
-    obs::RequestTraceCollector* tc = trace_collector();
+    obs::RequestTraceCollector* tc = engine_.trace_collector();
     std::uint64_t trace_id = 0;
     try {
       const ScoreRequest req = parse_score_request(
@@ -160,6 +188,192 @@ std::string Server::handle_line(const std::string& line) {
 
   return error_response("unknown command '" + verb +
                         "' (SCORE, STATS, METRICS, TRACE, QUIT)");
+}
+
+std::string Server::metrics_response() const {
+  // The front end's own fields go in a "server" object ahead of the
+  // engine's payload.
+  const double uptime =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started_)
+          .count();
+  std::string out = "{\"server\":{\"uptime_seconds\":" +
+                    obs::json_number(uptime) + ",\"rejected_line_bytes\":" +
+                    std::to_string(rejected_lines_->value());
+  if (const obs::RequestTraceCollector* traces = engine_.trace_collector()) {
+    out += ",\"trace_ring\":{\"enabled\":";
+    out += traces->enabled() ? "true" : "false";
+    out += ",\"occupancy\":" + std::to_string(traces->ring_size());
+    out += ",\"capacity\":" + std::to_string(traces->ring_capacity());
+    out += ",\"active\":" + std::to_string(traces->active_size());
+    out += ",\"dropped\":" + std::to_string(traces->dropped());
+    out += "}";
+  } else {
+    out += ",\"trace_ring\":null";
+  }
+  if (exporter_) {
+    const obs::TelemetryExporter::Status st = exporter_->status();
+    out += ",\"exporter\":{\"running\":";
+    out += st.running ? "true" : "false";
+    out += ",\"interval_seconds\":" + obs::json_number(st.interval_seconds);
+    out += ",\"snapshots\":" + std::to_string(st.snapshots);
+    out += ",\"last_lag_ms\":" + obs::json_number(st.last_lag_ms);
+    out += "}";
+  } else {
+    out += ",\"exporter\":null";
+  }
+  const std::string engine = engine_.metrics_json();  // "{...}"
+  out += "}," + engine.substr(1) + "\n.\n";
+  return out;
+}
+
+std::string Server::trace_response(const std::vector<std::string>& args) const {
+  const obs::RequestTraceCollector* traces = engine_.trace_collector();
+  if (!traces) return error_response("tracing not available");
+  if (args.empty()) return error_response("usage: TRACE <id> | TRACE LAST <n>");
+  if (args[0] == "LAST" || args[0] == "last") {
+    std::size_t n = 10;
+    if (args.size() > 1) {
+      char* end = nullptr;
+      const unsigned long long v = std::strtoull(args[1].c_str(), &end, 10);
+      if (end == nullptr || *end != '\0' || v == 0)
+        return error_response("TRACE LAST: bad count '" + args[1] + "'");
+      n = static_cast<std::size_t>(v);
+    }
+    const std::vector<obs::RequestTrace> last = traces->last(n);
+    std::string out = "{\"count\":" + std::to_string(last.size());
+    out += ",\"traces\":[";
+    for (std::size_t i = 0; i < last.size(); ++i) {
+      if (i != 0) out += ",";
+      out += obs::request_trace_json(last[i]);
+    }
+    out += "]}\n.\n";
+    return out;
+  }
+  char* end = nullptr;
+  const unsigned long long id = std::strtoull(args[0].c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || id == 0)
+    return error_response("TRACE: bad trace id '" + args[0] + "'");
+  const auto trace = traces->find(static_cast<std::uint64_t>(id));
+  if (!trace) {
+    return error_response(
+        traces->enabled()
+            ? "trace " + args[0] + " not found (completed and evicted, "
+                  "still in flight, or never traced)"
+            : "tracing disabled");
+  }
+  return obs::request_trace_json(*trace) + "\n.\n";
+}
+
+void Server::start() {
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd_ < 0)
+    throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(config_.port);
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+      0) {
+    const std::string reason = std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("bind 127.0.0.1:" + std::to_string(config_.port) +
+                             ": " + reason);
+  }
+  socklen_t len = sizeof(addr);
+  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+  port_ = ntohs(addr.sin_port);
+  if (::listen(listen_fd_, 16) < 0) {
+    const std::string reason = std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("listen: " + reason);
+  }
+  running_.store(true);
+  // The acceptor gets its own copy of the fd: stop() resets listen_fd_
+  // while accept() may still be running.
+  acceptor_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
+}
+
+void Server::accept_loop(int listen_fd) {
+  while (!stopping_.load()) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) {
+      if (stopping_.load()) break;
+      if (errno == EINTR) continue;
+      break;  // listening socket gone
+    }
+    util::MutexLock lock(conn_mutex_);
+    if (stopping_.load()) {
+      ::close(fd);
+      break;
+    }
+    conn_fds_.insert(fd);
+    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+  }
+}
+
+void Server::connection_loop(int fd) {
+  std::string buffer;
+  char chunk[4096];
+  bool open = true;
+  while (open) {
+    const std::size_t newline = buffer.find('\n');
+    if (std::min(newline, buffer.size()) > kMaxLineBytes) {
+      // A client that never ends its line must not grow this buffer
+      // without bound: refuse it and hang up.
+      rejected_lines_->add();
+      send_all(fd, error_response("line too long"));
+      break;
+    }
+    if (newline == std::string::npos) {
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;  // peer closed, or stop() shut our read side down
+      buffer.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    std::string line = buffer.substr(0, newline);
+    buffer.erase(0, newline + 1);
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (util::trim(line).empty()) continue;
+    const std::string verb = util::split_ws(line)[0];
+    send_all(fd, handle_line(line));
+    if (verb == "QUIT" || stopping_.load()) open = false;
+  }
+  {
+    util::MutexLock lock(conn_mutex_);
+    conn_fds_.erase(fd);
+  }
+  ::close(fd);
+}
+
+void Server::stop() {
+  if (!running_.load() && listen_fd_ < 0) return;
+  stopping_.store(true);
+  if (listen_fd_ >= 0) {
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  if (acceptor_.joinable()) acceptor_.join();
+  {
+    // Wake connections parked in recv(); their writes still complete, so
+    // in-flight requests are answered before the threads exit.
+    util::MutexLock lock(conn_mutex_);
+    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
+  }
+  std::vector<std::thread> threads;
+  {
+    util::MutexLock lock(conn_mutex_);
+    threads.swap(conn_threads_);
+  }
+  for (auto& t : threads)
+    if (t.joinable()) t.join();
+  running_.store(false);
 }
 
 }  // namespace fcrit::serve

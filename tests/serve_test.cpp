@@ -4,11 +4,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -437,188 +439,6 @@ TEST(ScoringEngineTest, ShutdownDrainsQueuedJobs) {
   EXPECT_GT(m.queue_high_water, 0u);
 }
 
-// ---- batching, admission deadlines, abort ---------------------------------
-
-TEST(ScoringEngineTest, ScoreBatchIsBitwiseIdenticalToSolo) {
-  const std::string dir = ::testing::TempDir();
-  const auto owner = tiny_design(81);
-  const std::string path = dir + "fcrit_batch.fcm";
-  save_bundle_file(synthetic_bundle(owner, 13), path);
-  // Three different netlists against ONE bundle — the cross-connection
-  // coalescing case (non-strict scoring of foreign netlists is allowed).
-  const std::vector<designs::Design> targets = {owner, tiny_design(82),
-                                                tiny_design(83)};
-
-  ScoringEngine engine({.threads = 1});
-  std::vector<ScoreResult> solo;
-  for (const auto& t : targets) solo.push_back(engine.score(path, t));
-
-  const auto outcomes = engine.score_batch(path, targets);
-  ASSERT_EQ(outcomes.size(), targets.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].result.has_value()) << "target " << i;
-    const ScoreResult& b = *outcomes[i].result;
-    // Bitwise: the block-diagonal forward must not perturb a single bit
-    // of any target's numbers.
-    EXPECT_EQ(b.proba, solo[i].proba) << "target " << i;
-    EXPECT_EQ(b.predicted, solo[i].predicted) << "target " << i;
-    EXPECT_EQ(b.score, solo[i].score) << "target " << i;
-    EXPECT_EQ(b.sites, solo[i].sites) << "target " << i;
-    EXPECT_EQ(b.netlist_matched, solo[i].netlist_matched) << "target " << i;
-  }
-  const MetricsSnapshot m = engine.metrics();
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batched_requests, targets.size());
-}
-
-TEST(ScoringEngineTest, ScoreBatchIsolatesPerTargetFailures) {
-  const std::string dir = ::testing::TempDir();
-  const auto owner = tiny_design(84);
-  const std::string path = dir + "fcrit_batch_err.fcm";
-  save_bundle_file(synthetic_bundle(owner, 14), path);
-
-  ScoringEngine engine({.threads = 1});
-  // Strict hashing: the foreign middle target must fail alone while its
-  // batch mates score normally.
-  const std::vector<designs::Design> targets = {owner, tiny_design(85),
-                                                owner};
-  const auto outcomes =
-      engine.score_batch(path, targets, {.strict_hash = true});
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].result.has_value());
-  EXPECT_TRUE(outcomes[2].result.has_value());
-  ASSERT_TRUE(outcomes[1].error != nullptr);
-  try {
-    std::rethrow_exception(outcomes[1].error);
-    FAIL() << "expected BundleError";
-  } catch (const BundleError& e) {
-    EXPECT_EQ(e.code(), BundleErrorCode::kNetlistHashMismatch);
-  }
-  EXPECT_EQ(outcomes[0].result->proba, outcomes[2].result->proba);
-}
-
-TEST(ScoringEngineTest, WorkerCoalescesQueuedSameBundleJobs) {
-  const std::string dir = ::testing::TempDir();
-  const auto d = tiny_design(86);
-  const std::string path = dir + "fcrit_coalesce.fcm";
-  save_bundle_file(synthetic_bundle(d, 15), path);
-  const std::string netlist_path = dir + "fcrit_coalesce.v";
-  write_file(netlist_path, netlist::to_verilog(d.netlist));
-
-  // One worker, parked by the hook on its FIRST job: everything submitted
-  // while it is parked piles up and must leave the queue as one batch.
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::atomic<int> hook_calls{0};
-  EngineConfig cfg;
-  cfg.threads = 1;
-  cfg.queue_capacity = 16;
-  cfg.batch_max = 8;
-  cfg.before_score_hook = [&](const std::string&) {
-    if (hook_calls.fetch_add(1) == 0) released.wait();
-  };
-  ScoringEngine engine(cfg);
-
-  std::vector<std::future<ScoreResult>> futures;
-  futures.push_back(engine.submit(path, netlist_path));  // parks the worker
-  while (hook_calls.load() == 0) std::this_thread::yield();
-  for (int i = 0; i < 4; ++i)
-    futures.push_back(engine.submit(path, netlist_path));
-  release.set_value();
-  for (auto& f : futures) EXPECT_NO_THROW(f.get());
-
-  const MetricsSnapshot m = engine.metrics();
-  EXPECT_EQ(m.completed, 5u);
-  EXPECT_EQ(m.batches, 1u);           // the 4 queued jobs, as one forward
-  EXPECT_EQ(m.batched_requests, 4u);  // job 1 ran solo before the pile-up
-  // All four queued jobs named the SAME target: one is scored, the other
-  // three collapse onto its result.
-  EXPECT_EQ(m.collapsed_requests, 3u);
-}
-
-TEST(ScoringEngineTest, SubmitDeadlineTimesOutWithTypedError) {
-  // Regression (PR 6): submit() used to block forever on a full queue;
-  // the deadline turns that into EngineError(kQueueTimeout).
-  const std::string dir = ::testing::TempDir();
-  const auto d = tiny_design(87);
-  const std::string path = dir + "fcrit_deadline.fcm";
-  save_bundle_file(synthetic_bundle(d, 16), path);
-  const std::string netlist_path = dir + "fcrit_deadline.v";
-  write_file(netlist_path, netlist::to_verilog(d.netlist));
-
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::atomic<int> hook_calls{0};
-  EngineConfig cfg;
-  cfg.threads = 1;
-  cfg.queue_capacity = 1;
-  cfg.before_score_hook = [&](const std::string&) {
-    if (hook_calls.fetch_add(1) == 0) released.wait();
-  };
-  ScoringEngine engine(cfg);
-
-  auto f1 = engine.submit(path, netlist_path);  // dequeued, parked in hook
-  while (hook_calls.load() == 0) std::this_thread::yield();
-  auto f2 = engine.submit(path, netlist_path);  // fills the 1-slot queue
-  try {
-    engine.submit(path, netlist_path, {},
-                  std::chrono::milliseconds(50));
-    FAIL() << "expected EngineError(kQueueTimeout)";
-  } catch (const EngineError& e) {
-    EXPECT_EQ(e.code(), EngineErrorCode::kQueueTimeout);
-  }
-  EXPECT_EQ(engine.metrics().submit_timeouts, 1u);
-
-  release.set_value();
-  EXPECT_NO_THROW(f1.get());
-  EXPECT_NO_THROW(f2.get());
-}
-
-TEST(ScoringEngineTest, AbortFailsQueuedJobsAndKeepsInFlightOnes) {
-  const std::string dir = ::testing::TempDir();
-  const auto d = tiny_design(88);
-  const std::string path = dir + "fcrit_abort.fcm";
-  save_bundle_file(synthetic_bundle(d, 17), path);
-  const std::string netlist_path = dir + "fcrit_abort.v";
-  write_file(netlist_path, netlist::to_verilog(d.netlist));
-
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::atomic<int> hook_calls{0};
-  EngineConfig cfg;
-  cfg.threads = 1;
-  cfg.before_score_hook = [&](const std::string&) {
-    if (hook_calls.fetch_add(1) == 0) released.wait();
-  };
-  ScoringEngine engine(cfg);
-
-  auto in_flight = engine.submit(path, netlist_path);  // parked in hook
-  while (hook_calls.load() == 0) std::this_thread::yield();
-  auto queued_a = engine.submit(path, netlist_path);
-  auto queued_b = engine.submit(path, netlist_path);
-
-  engine.abort();  // the fleet's shard-kill path
-  for (auto* f : {&queued_a, &queued_b}) {
-    try {
-      f->get();
-      FAIL() << "expected EngineError(kAborted)";
-    } catch (const EngineError& e) {
-      EXPECT_EQ(e.code(), EngineErrorCode::kAborted);
-    }
-  }
-  // The job already on the worker still finishes once released.
-  release.set_value();
-  EXPECT_NO_THROW(in_flight.get());
-  // And the engine refuses new work with the typed shutdown error.
-  try {
-    engine.submit(path, netlist_path);
-    FAIL() << "expected EngineError(kShutdown)";
-  } catch (const EngineError& e) {
-    EXPECT_EQ(e.code(), EngineErrorCode::kShutdown);
-  }
-  engine.shutdown();
-}
-
 // ---- daemon wire protocol -------------------------------------------------
 
 int connect_to(int port) {
@@ -751,10 +571,12 @@ TEST(ServerTest, TraceVerbReturnsSpansForScoredRequests) {
     EXPECT_NE(body.find("\"id\":\"" + lookup + "\""), std::string::npos)
         << body;
     EXPECT_NE(body.find("\"verdict\":\"ok\""), std::string::npos);
+    // Requests are scored one at a time: the key stays, always empty.
+    EXPECT_NE(body.find("\"batched_with\":[]"), std::string::npos) << body;
     // The per-stage story every trace must tell (docs/OBSERVABILITY.md).
     for (const char* span :
-         {"\"queue_wait\"", "\"batch_assembly\"", "\"bundle_load\"",
-          "\"golden_sim\"", "\"forward\""})
+         {"\"queue_wait\"", "\"bundle_load\"", "\"golden_sim\"",
+          "\"forward\""})
       EXPECT_NE(body.find(span), std::string::npos) << span << " in " << body;
   }
   // The second request hit the bundle cache; the first parsed.
@@ -805,9 +627,11 @@ TEST(ServerTest, MetricsCarriesSharedServerObjectAndPromExposition) {
   const std::string metrics = server.handle_line("METRICS");
   const std::string body = metrics.substr(0, metrics.size() - 3);
   ASSERT_TRUE(obs::json_valid(body)) << body;
-  // The shared "server" object both daemons splice in front of their
-  // registry payload (satellite 2: no more divergent METRICS shapes).
+  // The front end's "server" object comes first, ahead of the engine's
+  // registry payload.
   EXPECT_EQ(body.find("{\"server\":{\"uptime_seconds\":"), 0u) << body;
+  EXPECT_NE(body.find("\"rejected_line_bytes\":0"), std::string::npos)
+      << body;
   EXPECT_NE(body.find("\"trace_ring\":{\"enabled\":true"), std::string::npos)
       << body;
   EXPECT_NE(body.find("\"occupancy\":1"), std::string::npos) << body;
@@ -873,6 +697,95 @@ TEST(ServerTest, UntracedEngineStillServesAndTraceVerbExplains) {
   EXPECT_EQ(traces.ring_size(), 0u);
   EXPECT_NE(server2.handle_line("METRICS").find("\"enabled\":false"),
             std::string::npos);
+}
+
+TEST(ServerTest, OverlongLineIsRefusedAndConnectionClosed) {
+  const std::string dir = ::testing::TempDir() + "fcrit_srv_linecap";
+  std::filesystem::create_directories(dir);
+  const auto d = tiny_design(65);
+  save_bundle_file(synthetic_bundle(d, 15), dir + "/tiny.fcm");
+  const std::string netlist_path = dir + "/tiny.v";
+  write_file(netlist_path, netlist::to_verilog(d.netlist));
+
+  ScoringEngine engine({.threads = 1});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+  server.start();
+
+  // 1 MiB without a newline: the daemon must answer ERR and hang up
+  // instead of buffering it all. The receive timeout turns a daemon that
+  // keeps waiting for the newline into a test failure, not a hang.
+  const int fd = connect_to(server.port());
+  const timeval timeout{.tv_sec = 10, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const std::string junk(1 << 20, 'x');
+  for (std::size_t sent = 0; sent < junk.size();) {
+    const ssize_t n = ::send(fd, junk.data() + sent, junk.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;  // the daemon already closed its side
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+    reply.append(buf, static_cast<std::size_t>(n));
+  const bool timed_out = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  EXPECT_FALSE(timed_out) << "connection still open after 1 MiB";
+  EXPECT_EQ(reply, "ERR line too long\n.\n");
+  ::close(fd);
+
+  // The daemon itself is unharmed: the next client is served.
+  const int fd2 = connect_to(server.port());
+  EXPECT_EQ(request(fd2, "SCORE " + netlist_path).substr(0, 2), "OK");
+  EXPECT_NE(request(fd2, "METRICS").find("\"rejected_line_bytes\":1"),
+            std::string::npos);
+  EXPECT_EQ(request(fd2, "QUIT").substr(0, 3), "BYE");
+  ::close(fd2);
+  server.stop();
+}
+
+TEST(ServerTest, BundlesAddedOrRewrittenOnDiskAreServedOnTheSameConnection) {
+  // No reload verb: SCORE resolves the bundle name and re-reads the file
+  // on every request, so a bundle copied in or overwritten mid-run is
+  // served by the next request on an already-open connection.
+  const std::string dir = ::testing::TempDir() + "fcrit_srv_ondisk";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto d = tiny_design(66);
+  const std::string netlist_path = dir + "/tiny.v";
+  write_file(netlist_path, netlist::to_verilog(d.netlist));
+  save_bundle_file(synthetic_bundle(d, 16), dir + "/first.fcm");
+  // Staged outside the bundle directory, copied in later.
+  const std::string staged_extra = ::testing::TempDir() + "fcrit_extra.fcm";
+  const std::string staged_v2 = ::testing::TempDir() + "fcrit_first_v2.fcm";
+  save_bundle_file(synthetic_bundle(d, 17), staged_extra);
+  save_bundle_file(synthetic_bundle(d, 18), staged_v2);
+
+  ScoringEngine engine({.threads = 1});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+  server.start();
+  const int fd = connect_to(server.port());
+  const std::string v1 = request(fd, "SCORE first " + netlist_path + " 5");
+  ASSERT_EQ(v1.substr(0, 2), "OK") << v1;
+  EXPECT_EQ(request(fd, "SCORE extra " + netlist_path).substr(0, 3), "ERR");
+
+  std::filesystem::copy_file(staged_extra, dir + "/extra.fcm");
+  EXPECT_EQ(request(fd, "SCORE extra " + netlist_path).substr(0, 2), "OK");
+
+  const auto misses = [&] { return engine.metrics().cache_misses; };
+  const std::uint64_t before = misses();
+  std::filesystem::copy_file(staged_v2, dir + "/first.fcm",
+                             std::filesystem::copy_options::overwrite_existing);
+  const std::string v2 = request(fd, "SCORE first " + netlist_path + " 5");
+  EXPECT_EQ(misses(), before + 1) << "new bytes must miss the cache once";
+  // Exactly the new model's scores, as a fresh engine computes them.
+  ScoringEngine fresh({.threads = 1});
+  EXPECT_EQ(v2, format_score_response(
+                    fresh.score_path(dir + "/first.fcm", netlist_path), 5));
+  EXPECT_NE(v2, v1);
+  EXPECT_EQ(request(fd, "QUIT").substr(0, 3), "BYE");
+  ::close(fd);
+  server.stop();
 }
 
 TEST(ServerTest, HandleLineReportsUsageErrors) {

@@ -351,11 +351,8 @@ int cmd_campaign(const std::string& target,
                 static_cast<unsigned long long>(result.frontier_evals),
                 static_cast<unsigned long long>(result.early_exit_cycles));
   if (cfg.static_prune)
-    std::printf("static prune: %u proved benign in %.3fs (%u site-const, "
-                "%u dead-cone, %u constant-blocked)\n",
-                result.pruned_faults, result.triage_seconds,
-                result.prune_site_const, result.prune_dead_cone,
-                result.prune_const_blocked);
+    std::printf("static prune: %u dead-cone faults skipped in %.4f s\n",
+                result.pruned_faults, result.triage_seconds);
   std::printf("%s\n",
               fault::summarize_coverage(result).to_string().c_str());
   if (flags.contains("--report")) {
@@ -782,7 +779,7 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
   // Self-test: three phases, each planting one deliberate defect that the
   // run must CATCH — a wrong-XOR scalar reference (packed-vs-scalar
   // oracle), a corrupted batched-campaign verdict (campaign oracle), and
-  // a fabricated static-prune proof (static-prune oracle).
+  // an output-reachable fault marked pruned (static-prune oracle).
   if (flags.contains("--self-test")) {
     check::CheckConfig scalar_cfg = cfg;
     scalar_cfg.scalar_bug = check::ScalarBug::kXorAsOr;
@@ -791,7 +788,7 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
     campaign_cfg.campaign_bug = check::CampaignBug::kMismatchOffByOne;
     const auto campaign_report = check::run_checks(campaign_cfg, &std::cerr);
     check::CheckConfig prune_cfg = cfg;
-    prune_cfg.prune_bug = check::PruneBug::kBadProof;
+    prune_cfg.prune_bug = check::PruneBug::kPruneReachable;
     const auto prune_report = check::run_checks(prune_cfg, &std::cerr);
     if (scalar_report.ok() || campaign_report.ok() || prune_report.ok()) {
       std::fprintf(stderr,

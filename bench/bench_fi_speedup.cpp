@@ -9,9 +9,10 @@
 //   frontier+batch  cone-disjoint fault batching + collapse-equivalence
 //                sharing on top of the frontier engine, at 1/2/4 threads
 // plus a static-prune A/B on the production engine: the same
-// frontier+batch campaign with the src/sla triage disabled vs enabled,
-// recording the prune rate and both end-to-end wall times (the prune-on
-// time includes the triage itself). See docs/STATIC_ANALYSIS.md.
+// frontier+batch campaign with static pruning (dead-cone faults skipped)
+// disabled vs enabled, recording the prune rate and both end-to-end wall
+// times (the prune-on time includes the reachability pass itself). See
+// docs/STATIC_ANALYSIS.md.
 // Every leg is verified to produce bit-identical verdicts before its
 // timing is recorded (the `fcrit check` campaign oracle proves the same
 // equivalence on fuzzed circuits, and `diff_static_prune` the prune A/B).
@@ -167,8 +168,8 @@ int main(int argc, char** argv) {
               batch4_s > 0 ? cone_s / batch4_s : 0.0);
 
     // Static-prune A/B on the production engine (frontier+batch@1t): the
-    // identical campaign with the sla triage off vs on. The prune-on wall
-    // includes the triage itself, so "off vs on" is an honest end-to-end
+    // identical campaign with static pruning off vs on. The prune-on wall
+    // includes the reachability pass, so "off vs on" is an honest end-to-end
     // comparison; verdicts must stay bit-identical either way.
     {
       fault::CampaignConfig on = base;

@@ -1,5 +1,6 @@
 #include "src/check/differential.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <filesystem>
@@ -18,7 +19,6 @@
 #include "src/sim/packed_sim.hpp"
 #include "src/sim/probability.hpp"
 #include "src/sim/stimulus.hpp"
-#include "src/sla/triage.hpp"
 
 namespace fcrit::check {
 
@@ -297,53 +297,17 @@ std::string diff_static_prune(const designs::Design& design,
   const auto universe = fault::full_fault_list(nl);
   if (universe.empty()) return {};
 
-  // 1. The analysis must ship a certificate the independent checker
-  // accepts (every constant and equivalence fact re-proved locally).
-  const sla::DataflowAnalysis analysis = sla::DataflowAnalysis::run(nl);
-  std::string why;
-  if (!sla::verify_facts(nl, analysis, &why))
-    return "static-prune-oracle: fact certificate rejected: " + why;
+  // The production pruning decision, recomputed: faults whose site cannot
+  // reach an output driver. Counted before any bug is planted, so the
+  // campaign's own decision is tied to the one checked below.
+  const std::vector<char> observable = netlist::reach_backward_from_outputs(nl);
+  std::vector<std::uint8_t> skipped(universe.size(), 0);
+  for (std::size_t i = 0; i < universe.size(); ++i)
+    skipped[i] = observable[universe[i].node] ? 0 : 1;
+  const auto expected_pruned = static_cast<std::uint32_t>(
+      std::count(skipped.begin(), skipped.end(), std::uint8_t{1}));
 
-  sla::TriageResult triage = sla::triage_faults(nl, analysis, universe);
-  if (triage.records.size() != universe.size())
-    return "static-prune-oracle: triage returned " +
-           std::to_string(triage.records.size()) + " records for " +
-           std::to_string(universe.size()) + " faults";
-
-  if (bug == PruneBug::kBadProof) {
-    // Fabricate a constant-blocked proof for an observable fault: its
-    // singleton "closure" cannot be closed (the site is observable, so at
-    // least one escape edge is unblocked, or the site drives an output).
-    sla::ProofRecord bogus;
-    bogus.kind = sla::ProofKind::kConstantBlocked;
-    std::size_t victim = universe.size();
-    for (std::size_t i = 0; i < universe.size(); ++i)
-      if (triage.records[i].verdict == sla::TriageVerdict::kMustSimulate) {
-        victim = i;
-        break;
-      }
-    if (victim < universe.size()) {
-      bogus.fault = universe[victim];
-      bogus.closure = static_cast<std::int32_t>(triage.closures.size());
-      triage.closures.push_back({universe[victim].node});
-    } else {
-      bogus.fault = universe.front();
-      bogus.closure = -1;  // a proof with no closure at all
-    }
-    triage.proofs.push_back(bogus);
-  }
-
-  // 2. Every proof record must stand on its own.
-  for (std::size_t p = 0; p < triage.proofs.size(); ++p) {
-    if (!sla::verify_proof(nl, analysis, triage, p, &why))
-      return "static-prune-oracle: " +
-             std::string(sla::proof_kind_name(triage.proofs[p].kind)) +
-             " proof for " + fault_name(nl, triage.proofs[p].fault) +
-             " rejected: " + why;
-  }
-
-  // 3. Simulate the full universe with pruning off; every pruned fault's
-  // real verdict must be all-zero (the exact result pruning synthesizes).
+  // The reference: the full universe simulated with pruning off.
   fault::CampaignConfig off_cfg = config;
   off_cfg.static_prune = false;
   fault::FaultCampaign campaign_off(nl, design.stimulus, off_cfg);
@@ -352,43 +316,40 @@ std::string diff_static_prune(const designs::Design& design,
     return "static-prune-oracle: reference campaign returned " +
            std::to_string(ref.faults.size()) + " verdicts for " +
            std::to_string(universe.size()) + " faults";
+  auto all_zero = [&](std::size_t i) {
+    const fault::FaultResult& r = ref.faults[i];
+    return r.dangerous_lanes == 0 && r.detected_lanes == 0 &&
+           r.mismatch_cycles == 0 && r.first_detect_cycle < 0;
+  };
 
   if (bug == PruneBug::kPruneObservable) {
     // Mark a detected fault pruned (the first one, falling back to any
-    // must-simulate fault) so the sweep below must flag it.
+    // kept fault) so the simulation check below must flag it.
     std::size_t victim = universe.size();
     for (std::size_t i = 0; i < universe.size(); ++i) {
-      if (triage.records[i].verdict != sla::TriageVerdict::kMustSimulate)
-        continue;
+      if (skipped[i]) continue;
       if (victim == universe.size()) victim = i;
       if (ref.faults[i].detected_lanes != 0) {
         victim = i;
         break;
       }
     }
-    if (victim < universe.size())
-      triage.records[victim].verdict = sla::TriageVerdict::kProvedBenign;
+    if (victim < universe.size()) skipped[victim] = 1;
+  }
+  if (bug == PruneBug::kPruneReachable) {
+    // Mark pruned a kept fault that simulates all-zero: the simulation
+    // check passes it, only the structural check below can object.
+    for (std::size_t i = 0; i < universe.size(); ++i)
+      if (!skipped[i] && all_zero(i)) {
+        skipped[i] = 1;
+        break;
+      }
   }
 
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    if (triage.records[i].verdict != sla::TriageVerdict::kProvedBenign)
-      continue;
-    const fault::FaultResult& r = ref.faults[i];
-    if (r.dangerous_lanes != 0 || r.detected_lanes != 0 ||
-        r.mismatch_cycles != 0 || r.first_detect_cycle >= 0) {
-      std::ostringstream os;
-      os << "static-prune-oracle: pruned fault " << fault_name(nl, universe[i])
-         << " (" << sla::proof_kind_name(triage.records[i].kind)
-         << ") is observable in simulation: detected_lanes=" << std::hex
-         << r.detected_lanes << std::dec
-         << " mismatch_cycles=" << r.mismatch_cycles
-         << " first_detect_cycle=" << r.first_detect_cycle;
-      return os.str();
-    }
-  }
-
-  // 4. The production path: run_all with pruning on must be bit-identical
-  // to the unpruned reference, cone_size included.
+  // 1. Simulation: run_all with pruning on must prune exactly the faults
+  // chosen above and be bit-identical to the unpruned reference,
+  // cone_size included; every fault marked pruned must simulate all-zero
+  // in the reference (the exact result pruning synthesizes).
   fault::CampaignConfig on_cfg = config;
   on_cfg.static_prune = true;
   fault::FaultCampaign campaign_on(nl, design.stimulus, on_cfg);
@@ -397,6 +358,10 @@ std::string diff_static_prune(const designs::Design& design,
     return "static-prune-oracle: pruned campaign returned " +
            std::to_string(pruned.faults.size()) + " verdicts, reference " +
            std::to_string(ref.faults.size());
+  if (pruned.pruned_faults != expected_pruned)
+    return "static-prune-oracle: pruned campaign skipped " +
+           std::to_string(pruned.pruned_faults) + " faults, " +
+           std::to_string(expected_pruned) + " cannot reach an output";
   for (std::size_t i = 0; i < ref.faults.size(); ++i) {
     const fault::FaultResult& a = ref.faults[i];
     const fault::FaultResult& b = pruned.faults[i];
@@ -404,6 +369,15 @@ std::string diff_static_prune(const designs::Design& design,
         a.fault.stuck_value != b.fault.stuck_value)
       return "static-prune-oracle: pruned campaign reordered the fault "
              "universe at index " + std::to_string(i);
+    if (skipped[i] && !all_zero(i)) {
+      std::ostringstream os;
+      os << "static-prune-oracle: pruned fault " << fault_name(nl, a.fault)
+         << " is observable in simulation: detected_lanes=" << std::hex
+         << a.detected_lanes << std::dec
+         << " mismatch_cycles=" << a.mismatch_cycles
+         << " first_detect_cycle=" << a.first_detect_cycle;
+      return os.str();
+    }
     if (auto msg = compare_fault_results(nl, a.fault, a, b, "sim", "pruned",
                                          "static-prune-oracle");
         !msg.empty())
@@ -412,6 +386,32 @@ std::string diff_static_prune(const designs::Design& design,
       return "static-prune-oracle: " + fault_name(nl, a.fault) +
              ": cone_size sim=" + std::to_string(a.cone_size) +
              " pruned=" + std::to_string(b.cone_size);
+  }
+
+  // 2. Structural: a forward BFS over the fanout edges from every pruned
+  // site, independent of the backward pass that chose it, must find no
+  // primary-output driver.
+  std::vector<std::uint8_t> is_po(nl.num_nodes(), 0);
+  for (const auto& port : nl.outputs()) is_po[port.driver] = 1;
+  std::vector<std::uint8_t> seen(nl.num_nodes(), 0);
+  std::vector<NodeId> queue;
+  for (std::size_t i = 0; i < universe.size(); ++i) {
+    if (!skipped[i]) continue;
+    std::fill(seen.begin(), seen.end(), 0);
+    queue.assign(1, universe[i].node);
+    seen[universe[i].node] = 1;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      if (is_po[u])
+        return "static-prune-oracle: pruned fault " +
+               fault_name(nl, universe[i]) + " reaches output driver " +
+               nl.node(u).name;
+      for (const NodeId c : nl.fanouts(u))
+        if (!seen[c]) {
+          seen[c] = 1;
+          queue.push_back(c);
+        }
+    }
   }
   return {};
 }

@@ -18,11 +18,11 @@
 //                             reference, whole-universe run_all verdicts,
 //                             plus serial PackedSimulator::inject replay
 //                             on a strided fault subset
-//   diff_static_prune         static dataflow triage (src/sla): fact
-//                             certificate + proof records re-verified,
-//                             every pruned fault re-simulated (must be
-//                             Benign), campaign with pruning on vs off
-//                             bit-identical
+//   diff_static_prune         static fault pruning: campaign with
+//                             pruning on vs off bit-identical, every
+//                             pruned fault re-simulated (must be Benign)
+//                             and checked unreachable from its site by
+//                             a forward BFS
 //   diff_serve_vs_pipeline    serve::ScoringEngine (cache + worker pool)
 //                             vs  direct in-process scoring of the same
 //                             bundle artifact
@@ -80,26 +80,27 @@ std::string diff_campaign_equivalence(const designs::Design& design,
                                       int max_faults,
                                       CampaignBug bug = CampaignBug::kNone);
 
-/// Deliberate defects planted in the static-prune oracle's triage result
-/// so tests (and `--self-test`) can prove the oracle has teeth.
+/// Deliberate defects planted in the static-prune oracle's pruning
+/// decision so tests (and `--self-test`) can prove the oracle has teeth.
 enum class PruneBug {
   kNone = 0,
-  /// Append a fabricated constant-blocked proof for an observable fault
-  /// (or one with no closure at all): verify_proof must reject it.
-  kBadProof,
-  /// Flip a must-simulate fault's triage verdict to kProvedBenign without
-  /// any proof: the re-simulation sweep must observe it.
+  /// Mark pruned a kept fault that simulates all-zero but whose site
+  /// reaches an output: only the structural check can catch it.
+  kPruneReachable,
+  /// Mark pruned a kept (preferably detected) fault: the re-simulation
+  /// check must observe it.
   kPruneObservable,
 };
 
-/// Gate the static dataflow triage (src/sla) end to end:
-///   1. the exported fact certificate must pass verify_facts,
-///   2. every ProofRecord must pass verify_proof independently,
-///   3. every fault triaged kProvedBenign must come back all-zero
-///      (undetected, zero mismatch cycles) from a real simulation with
-///      pruning disabled — the soundness contract, checked by simulation,
-///   4. run_all with pruning on must be bit-identical (including
-///      cone_size) to run_all with pruning off.
+/// Gate the campaign's static pruning (faults whose site cannot reach an
+/// output driver are skipped) end to end:
+///   1. run_all with pruning on must skip exactly the faults whose site
+///      reaches no output driver and be bit-identical (including
+///      cone_size) to run_all with pruning off; every pruned fault must
+///      come back all-zero (undetected, zero mismatch cycles) from that
+///      prune-off simulation,
+///   2. a forward BFS from every pruned site must find no primary-output
+///      driver.
 std::string diff_static_prune(const designs::Design& design,
                               const fault::CampaignConfig& config,
                               PruneBug bug = PruneBug::kNone);

@@ -52,8 +52,9 @@ struct CheckConfig {
   /// the second-slowest oracle) on every k-th trial. 0 disables it.
   int campaign_every = 1;
 
-  /// Run the static-prune oracle (certificate + proof verification, full
-  /// unpruned reference campaign, pruned campaign) on every k-th trial.
+  /// Run the static-prune oracle (full unpruned reference campaign,
+  /// structural check of every pruned site, pruned campaign) on every
+  /// k-th trial.
   /// 0 disables it.
   int prune_every = 1;
 
@@ -65,8 +66,8 @@ struct CheckConfig {
   /// oracle (see CampaignBug). kNone for real checking.
   CampaignBug campaign_bug = CampaignBug::kNone;
 
-  /// Plants a deliberate defect in the static-prune oracle's triage
-  /// result (see PruneBug). kNone for real checking.
+  /// Plants a deliberate defect in the static-prune oracle's pruning
+  /// decision (see PruneBug). kNone for real checking.
   PruneBug prune_bug = PruneBug::kNone;
 };
 

@@ -49,9 +49,9 @@ struct PipelineConfig {
   fault::FiEngine campaign_engine = fault::FiEngine::kFrontier;
   bool campaign_batch_faults = true;
   bool campaign_collapse_equivalent = true;
-  /// Static dataflow triage (src/sla): skip faults proved Benign before
-  /// simulating. Verdict-preserving by construction; --no-static-prune is
-  /// the escape hatch and the `diff_static_prune` oracle the enforcement.
+  /// Static pruning: skip faults whose site cannot reach any output.
+  /// Verdict-preserving by construction; --no-static-prune is the escape
+  /// hatch and the `diff_static_prune` oracle the enforcement.
   bool campaign_static_prune = true;
   /// Worker threads for the campaign shards (-1 = inherit process pool).
   int campaign_threads = -1;

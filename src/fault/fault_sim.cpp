@@ -12,7 +12,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/packed_sim.hpp"
-#include "src/sla/triage.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/timer.hpp"
 
@@ -659,10 +658,11 @@ BatchPlan FaultCampaign::plan_batches(std::span<const Fault> faults) const {
   // The shuffle is keyed secondarily; the primary key is an activity
   // class read off the golden trace (when available): a fault whose stuck
   // word matches the site's golden word on nearly every cycle only wakes
-  // on the few cycles where they differ, and the frontier engine
-  // early-exits a pass's quiet cycles only when EVERY batch member is
-  // quiescent. Packing quiet faults with quiet faults preserves that;
-  // one always-active member would forfeit it for the whole batch.
+  // on the few cycles where they differ. run_frontier_pass walks a batch's
+  // members one after another, each with its own quiet-cycle early exit,
+  // so the class does not change the node-evaluation count; it only
+  // decides which faults share a pass (one shard work item), keeping
+  // near-free quiet faults together and busy ones together.
   auto activity_class = [&](const Fault& f) -> std::uint32_t {
     if (!golden_ready_) return 0;
     const std::uint64_t stuck = f.stuck_value ? ~0ULL : 0ULL;
@@ -838,20 +838,19 @@ CampaignResult FaultCampaign::run(const std::vector<Fault>& faults) {
   // The fanout CSR cache must exist before worker threads race to read it.
   if (num_nodes_ > 0) nl_->fanouts(0);
 
-  // Static triage: prove faults Benign before paying for simulation.
-  sla::TriageResult triage;
-  double triage_seconds = 0.0;
-  std::vector<Fault> must_sim;
+  // Static pruning: a fault whose site cannot reach any primary-output
+  // driver can never corrupt an output, so it is not simulated.
   const bool prune = config_.static_prune && !faults.empty();
+  std::vector<char> observable;
+  std::vector<Fault> must_sim;
+  double triage_seconds = 0.0;
   if (prune) {
     obs::Span span("sla_triage");
     util::Timer timer;
-    const sla::DataflowAnalysis analysis = sla::DataflowAnalysis::run(*nl_);
-    triage = sla::triage_faults(*nl_, analysis, faults);
-    must_sim.reserve(triage.must_simulate);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      if (triage.records[i].verdict == sla::TriageVerdict::kMustSimulate)
-        must_sim.push_back(faults[i]);
+    observable = netlist::reach_backward_from_outputs(*nl_);
+    must_sim.reserve(faults.size());
+    for (const Fault& f : faults)
+      if (observable[f.node]) must_sim.push_back(f);
     triage_seconds = timer.seconds();
   }
   const std::vector<Fault>& active = prune ? must_sim : faults;
@@ -862,26 +861,20 @@ CampaignResult FaultCampaign::run(const std::vector<Fault>& faults) {
   out.golden_seconds = golden_seconds_;
   if (!prune) return out;
 
+  const std::size_t pruned = faults.size() - must_sim.size();
   out.triage_seconds = triage_seconds;
-  out.pruned_faults = static_cast<std::uint32_t>(triage.proved_benign);
-  out.prune_site_const = static_cast<std::uint32_t>(triage.count_site_const);
-  out.prune_dead_cone = static_cast<std::uint32_t>(triage.count_dead_cone);
-  out.prune_const_blocked =
-      static_cast<std::uint32_t>(triage.count_const_blocked);
+  out.pruned_faults = static_cast<std::uint32_t>(pruned);
   auto& reg = obs::registry();
-  reg.counter("sla.pruned").add(triage.proved_benign);
-  reg.counter("sla.site_const").add(triage.count_site_const);
-  reg.counter("sla.dead_cone").add(triage.count_dead_cone);
-  reg.counter("sla.const_blocked").add(triage.count_const_blocked);
-  reg.counter("sla.must_simulate").add(triage.must_simulate);
-  if (triage.proved_benign == 0) return out;
+  reg.counter("sla.pruned").add(pruned);
+  reg.counter("sla.must_simulate").add(must_sim.size());
+  if (pruned == 0) return out;
 
-  // Scatter the simulated subset back and synthesize the proved-Benign
-  // results: zero detections and the cone_size simulation would report.
+  // Scatter the simulated subset back and synthesize the pruned results:
+  // zero detections and the cone_size simulation would report.
   std::vector<FaultResult> full(faults.size());
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (triage.records[i].verdict == sla::TriageVerdict::kMustSimulate) {
+    if (observable[faults[i].node]) {
       full[i] = out.faults[cursor++];
     } else {
       full[i].fault = faults[i];

@@ -20,9 +20,11 @@
 //     `batch_faults` packs faults whose static cones are provably
 //     disjoint (exact per-node cone bitsets; structural
 //     collapse-equivalence classes share one simulation) into a single
-//     pass, so k faults
-//     amortize one sweep of the golden trace. Batches are sharded across
-//     the process thread pool.
+//     pass. A pass walks its members one after another, each with its own
+//     quiet-cycle early exit; the members share the pass's divergence
+//     schedule prepass, scratch state and shard work item, so batching
+//     changes the unit of work, not the node-evaluation count. Batches
+//     are sharded across the process thread pool.
 //
 // Per cycle, primary outputs inside the cone are compared against the
 // golden trace, giving a per-lane mismatch mask; a lane whose
@@ -62,14 +64,12 @@ struct CampaignConfig {
 
   FiEngine engine = FiEngine::kFrontier;
 
-  /// Triage the fault list through the static dataflow engine (src/sla)
-  /// before simulating: faults proved Benign — site already stuck at the
-  /// faulty value in every reachable cycle, dead cone, or every path to an
-  /// output blocked by a controlling constant — are skipped and reported
-  /// with all-zero verdicts, bit-identical to what simulation would have
-  /// produced. Escape hatch: --no-static-prune / set false here. The
-  /// `diff_static_prune` oracle in fcrit check enforces the soundness
-  /// contract by re-simulating every pruned fault.
+  /// Skip faults whose site cannot reach any primary-output driver
+  /// (netlist::reach_backward_from_outputs): they are reported with
+  /// all-zero verdicts and their static cone_size, bit-identical to what
+  /// simulation would have produced. Escape hatch: --no-static-prune / set
+  /// false here. The `diff_static_prune` oracle in fcrit check
+  /// re-simulates every pruned fault to enforce that contract.
   bool static_prune = true;
 
   /// kLevelized only: disable to benchmark the naive full sweep.
@@ -133,11 +133,8 @@ struct CampaignResult {
   std::uint64_t early_exit_cycles = 0;  // fault-cycles skipped as quiescent
 
   // Static-pruning statistics (zero when static_prune is off).
-  std::uint32_t pruned_faults = 0;       // proved Benign, never simulated
-  std::uint32_t prune_site_const = 0;    // site already holds the stuck value
-  std::uint32_t prune_dead_cone = 0;     // site cannot reach any output
-  std::uint32_t prune_const_blocked = 0; // every escape blocked by a constant
-  double triage_seconds = 0.0;           // dataflow analysis + triage time
+  std::uint32_t pruned_faults = 0;  // dead-cone sites, never simulated
+  double triage_seconds = 0.0;      // output-reachability pass time
 };
 
 /// How a fault list is grouped into shared frontier passes. Produced by

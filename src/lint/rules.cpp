@@ -15,7 +15,6 @@
 
 #include "src/lint/lint.hpp"
 #include "src/sla/dataflow.hpp"
-#include "src/sla/triage.hpp"
 #include "src/util/text.hpp"
 
 namespace fcrit::lint {
@@ -77,30 +76,6 @@ std::vector<char> reach_forward(const std::vector<std::vector<NodeId>>& fanout,
       if (!reached[v]) {
         reached[v] = 1;
         queue.push_back(v);
-      }
-    }
-  }
-  return reached;
-}
-
-/// Backward closure from the output drivers over the fanin edges.
-std::vector<char> reach_backward_from_outputs(const Netlist& nl) {
-  const std::size_t n = nl.num_nodes();
-  std::vector<char> reached(n, 0);
-  std::deque<NodeId> queue;
-  for (const auto& port : nl.outputs()) {
-    if (port.driver < n && !reached[port.driver]) {
-      reached[port.driver] = 1;
-      queue.push_back(port.driver);
-    }
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (const NodeId f : nl.fanins(u)) {
-      if (f < n && !reached[f]) {
-        reached[f] = 1;
-        queue.push_back(f);
       }
     }
   }
@@ -248,7 +223,8 @@ void rule_dead_logic(const Netlist& nl,
   std::vector<char> drives_output(n, 0);
   for (const auto& port : nl.outputs())
     if (port.driver < n) drives_output[port.driver] = 1;
-  const std::vector<char> reaches_output = reach_backward_from_outputs(nl);
+  const std::vector<char> reaches_output =
+      netlist::reach_backward_from_outputs(nl);
 
   for (NodeId id = 0; id < n; ++id) {
     if (is_source(nl.kind(id)) || drives_output[id]) continue;
@@ -270,8 +246,8 @@ void rule_dead_logic(const Netlist& nl,
   // Static-dataflow extension: a gate that does reach an output
   // structurally, but whose every consumer is pinned by a controlling
   // constant on its other fanins, is just as dead — its value can never
-  // move a single level. Same node-local blocking test as the triage
-  // engine's divergence closure (src/sla/triage).
+  // move a single level. Same node-local blocking test as the divergence
+  // closure behind reset-cone (sla::divergence_closure).
   std::array<sla::Ternary, netlist::kMaxFanins> ins{};
   std::array<std::uint64_t, netlist::kMaxFanins> lits{};
   for (NodeId id = 0; id < n; ++id) {
@@ -404,11 +380,10 @@ void rule_reset_cone(const Netlist& nl,
   // forward reachability (the fallback) over-approximates that set, so
   // the delegated rule only ever finds more unresettable flops.
   if (df != nullptr) {
-    const auto closure = sla::divergence_closure(
-        nl, *df, std::span<const NodeId>(resets.data(), resets.size()),
-        /*stop_at_output=*/false);
+    const std::vector<NodeId> closure = sla::divergence_closure(
+        nl, *df, std::span<const NodeId>(resets.data(), resets.size()));
     for (const NodeId flop : nl.flops()) {
-      if (std::binary_search(closure->begin(), closure->end(), flop)) continue;
+      if (std::binary_search(closure.begin(), closure.end(), flop)) continue;
       report.add(at_node(nl, flop, "reset-cone", Severity::kNote,
                          "flip-flop '" + nl.node(flop).name +
                              "' is provably never influenced by a reset "

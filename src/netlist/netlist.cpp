@@ -1,6 +1,7 @@
 #include "src/netlist/netlist.hpp"
 
 #include <cassert>
+#include <deque>
 #include <stdexcept>
 #include <string>
 
@@ -162,6 +163,29 @@ void Netlist::ensure_fanouts() const {
     for (const NodeId f : nodes_[id].fanins())
       fanout_targets_[cursor[f]++] = id;
   fanouts_valid_ = true;
+}
+
+std::vector<char> reach_backward_from_outputs(const Netlist& nl) {
+  const std::size_t n = nl.num_nodes();
+  std::vector<char> reached(n, 0);
+  std::deque<NodeId> queue;
+  for (const OutputPort& port : nl.outputs()) {
+    if (port.driver < n && !reached[port.driver]) {
+      reached[port.driver] = 1;
+      queue.push_back(port.driver);
+    }
+  }
+  while (!queue.empty()) {
+    const NodeId u = queue.front();
+    queue.pop_front();
+    for (const NodeId f : nl.fanins(u)) {
+      if (f < n && !reached[f]) {
+        reached[f] = 1;
+        queue.push_back(f);
+      }
+    }
+  }
+  return reached;
 }
 
 }  // namespace fcrit::netlist

@@ -139,4 +139,11 @@ class Netlist {
   mutable std::unordered_map<std::string, NodeId> name_to_id_;
 };
 
+/// Backward closure from the primary-output drivers over the fanin edges,
+/// flip-flop crossings included: entry id is 1 when node id can reach
+/// some output driver. Out-of-range fanins and drivers are skipped, so
+/// the pass is safe on netlists validate() would reject. Backs lint's
+/// dead-cone rule and the campaign's static pruning.
+std::vector<char> reach_backward_from_outputs(const Netlist& nl);
+
 }  // namespace fcrit::netlist

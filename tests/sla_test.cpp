@@ -1,9 +1,10 @@
 // Static dataflow engine unit tests: the ternary transfer functions of
 // every cell kind checked exhaustively against the concrete evaluator,
 // the relation-aware evaluator on tied inputs, the equivalence learner,
-// the sequential fixpoint on crafted netlists, and the fact certificate
-// (verify_facts accepts the engine's own output and rejects a certificate
-// replayed against a different netlist).
+// the sequential fixpoint on crafted netlists, the fact certificate
+// (verify_facts accepts the engine's own output on the registered designs
+// and on random sequential circuits, and rejects a certificate replayed
+// against a different netlist), and the divergence closure.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
 #include "src/netlist/cell_library.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/sla/dataflow.hpp"
@@ -245,6 +247,26 @@ TEST(Dataflow, VerifyFactsRejectsForeignCertificate) {
   EXPECT_FALSE(why.empty());
 }
 
+TEST(Dataflow, DivergenceClosureStopsAtPinnedGate) {
+  // g structurally reaches the output through k, but k = AND(g, 0) is
+  // pinned at 0 whatever g does; a change on a reaches everything.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId c0 = nl.add_const(false);
+  const NodeId g = nl.add_gate(CellKind::kInv, {a}, "g");
+  const NodeId k = nl.add_gate(CellKind::kAnd2, {g, c0}, "k");
+  const NodeId out = nl.add_gate(CellKind::kOr2, {k, a}, "out");
+  nl.add_output("y", out);
+  nl.validate();
+
+  const auto df = DataflowAnalysis::run(nl);
+  const NodeId from_g[1] = {g};
+  EXPECT_EQ(divergence_closure(nl, df, from_g), std::vector<NodeId>{g});
+  const NodeId from_a[1] = {a};
+  EXPECT_EQ(divergence_closure(nl, df, from_a),
+            (std::vector<NodeId>{a, g, out}));
+}
+
 TEST(Dataflow, CertificatesOfRegisteredDesignsVerify) {
   for (const char* name :
        {"sdram_ctrl", "or1200_if", "or1200_icfsm", "or1200_genpc",
@@ -253,6 +275,22 @@ TEST(Dataflow, CertificatesOfRegisteredDesignsVerify) {
     const auto df = DataflowAnalysis::run(d.netlist);
     std::string why;
     EXPECT_TRUE(verify_facts(d.netlist, df, &why)) << name << ": " << why;
+  }
+}
+
+TEST(Dataflow, CertificatesOfRandomDesignsVerify) {
+  for (std::uint64_t seed : {3u, 14u, 15u, 92u}) {
+    designs::RandomCircuitConfig cfg;
+    cfg.num_inputs = 6;
+    cfg.num_gates = 70;
+    cfg.num_flops = 7;
+    cfg.num_outputs = 4;
+    cfg.seed = seed;
+    const auto d = designs::build_random_circuit(cfg);
+    const auto df = DataflowAnalysis::run(d.netlist);
+    std::string why;
+    EXPECT_TRUE(verify_facts(d.netlist, df, &why))
+        << "seed " << seed << ": " << why;
   }
 }
 

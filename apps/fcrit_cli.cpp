@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -86,8 +87,8 @@ constexpr const char* kUsageText =
     "  sweep <file> [-o FILE]            remove dead logic\n"
     "  campaign <design|file> [--cycles N] [--seed S]\n"
     "           [--fraction F] [--threads T] [--report FILE]\n"
-    "           [--engine levelized|frontier] [--no-batch] [--no-collapse]\n"
-    "           [--max-batch K] [--no-static-prune]\n"
+    "           [--engine levelized|frontier] [--no-collapse]\n"
+    "           [--no-static-prune]\n"
     "  analyze <design|file> [--top N] [--no-baselines]\n"
     "           [--explain K] [--save-model FILE] [--csv FILE]\n"
     "           [--cycles N] [--epochs N] [--trace-out FILE]\n"
@@ -162,10 +163,45 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
     if (!util::starts_with(arg, "--") && arg[0] != '-') continue;
     std::string key = arg;
     std::string value = "1";
-    if (i + 1 < argc && argv[i + 1][0] != '-') value = argv[++i];
+    // A value never starts with '-' unless it is a negative number, so a
+    // negative count reaches the flag's own check instead of becoming a
+    // stray flag.
+    if (i + 1 < argc &&
+        (argv[i + 1][0] != '-' ||
+         std::isdigit(static_cast<unsigned char>(argv[i + 1][1]))))
+      value = argv[++i];
     flags[key] = value;
   }
   return flags;
+}
+
+/// --threads of campaign, score and serve, in the --jobs grammar: 0 = all
+/// cores, N = exactly N (at most 1024); `fallback` when the flag is absent.
+int thread_flag(const std::map<std::string, std::string>& flags,
+                int fallback) {
+  const auto it = flags.find("--threads");
+  if (it == flags.end()) return fallback;
+  const int n = util::parse_thread_count(it->second);
+  if (n < 0)
+    throw std::runtime_error("--threads needs a thread count (0 = all "
+                             "cores, at most 1024), got '" +
+                             it->second + "'");
+  return n == 0 ? util::hardware_threads() : n;
+}
+
+/// A non-negative integer flag (`fallback` when absent); anything else
+/// fails naming the flag instead of dying in a bare std::stoi.
+int int_flag(const std::map<std::string, std::string>& flags,
+             const std::string& name, int fallback) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  const std::string& v = it->second;
+  if (!v.empty() && v.size() <= 9 &&
+      std::all_of(v.begin(), v.end(),
+                  [](char c) { return c >= '0' && c <= '9'; }))
+    return std::stoi(v);
+  throw std::runtime_error(name + " needs a non-negative integer, got '" + v +
+                           "'");
 }
 
 int cmd_list() {
@@ -317,26 +353,29 @@ int cmd_sweep(const std::string& target,
 
 int cmd_campaign(const std::string& target,
                  const std::map<std::string, std::string>& flags) {
-  const auto d = load_target(target);
+  // Batch planning is gone (one frontier pass per fault): its flags are
+  // refused, not silently ignored.
+  for (const char* removed : {"--no-batch", "--max-batch"})
+    if (flags.contains(removed))
+      throw std::runtime_error(std::string(removed) +
+                               " was removed: the frontier engine runs "
+                               "one pass per fault");
   fault::CampaignConfig cfg;
+  cfg.num_threads = thread_flag(flags, cfg.num_threads);
+  const auto d = load_target(target);
   cfg.dangerous_cycle_fraction = d.dangerous_cycle_fraction;
-  if (flags.contains("--cycles")) cfg.cycles = std::stoi(flags.at("--cycles"));
+  cfg.cycles = int_flag(flags, "--cycles", cfg.cycles);
   if (flags.contains("--seed")) cfg.seed = std::stoull(flags.at("--seed"));
   if (flags.contains("--fraction"))
     cfg.dangerous_cycle_fraction = std::stod(flags.at("--fraction"));
-  if (flags.contains("--threads"))
-    cfg.num_threads = std::stoi(flags.at("--threads"));
   if (flags.contains("--engine")) {
     const std::string& engine = flags.at("--engine");
     if (engine == "levelized") cfg.engine = fault::FiEngine::kLevelized;
     else if (engine == "frontier") cfg.engine = fault::FiEngine::kFrontier;
     else throw std::runtime_error("--engine takes levelized|frontier");
   }
-  if (flags.contains("--no-batch")) cfg.batch_faults = false;
   if (flags.contains("--no-collapse")) cfg.collapse_equivalent = false;
   if (flags.contains("--no-static-prune")) cfg.static_prune = false;
-  if (flags.contains("--max-batch"))
-    cfg.max_batch = std::stoi(flags.at("--max-batch"));
 
   fault::FaultCampaign campaign(d.netlist, d.stimulus, cfg);
   const auto result = campaign.run_all();
@@ -344,10 +383,10 @@ int cmd_campaign(const std::string& target,
   std::printf("%s\n", ds.summary().c_str());
   std::printf("golden %.3fs, %zu faults in %.3fs\n", result.golden_seconds,
               result.faults.size(), result.fault_seconds);
-  if (result.num_batches > 0)
-    std::printf("frontier: %u simulated faults in %u batches, %llu node "
-                "evals, %llu quiesced fault-cycles\n",
-                result.simulated_faults, result.num_batches,
+  if (result.simulated_faults > 0)
+    std::printf("frontier: %u simulated faults, %llu node evals, %llu "
+                "quiesced fault-cycles\n",
+                result.simulated_faults,
                 static_cast<unsigned long long>(result.frontier_evals),
                 static_cast<unsigned long long>(result.early_exit_cycles));
   if (cfg.static_prune)
@@ -375,10 +414,9 @@ int cmd_analyze(const std::string& target,
   core::PipelineConfig cfg;
   if (flags.contains("--no-baselines")) cfg.train_baselines = false;
   if (flags.contains("--no-static-prune")) cfg.campaign_static_prune = false;
-  if (flags.contains("--cycles"))
-    cfg.campaign_cycles = std::stoi(flags.at("--cycles"));
+  cfg.campaign_cycles = int_flag(flags, "--cycles", cfg.campaign_cycles);
   if (flags.contains("--epochs")) {
-    cfg.train.epochs = std::stoi(flags.at("--epochs"));
+    cfg.train.epochs = int_flag(flags, "--epochs", 0);
     cfg.regressor_train.epochs = cfg.train.epochs;
   }
   const bool tracing = flags.contains("--trace-out");
@@ -387,8 +425,7 @@ int cmd_analyze(const std::string& target,
   auto r = analyzer.analyze(load_target(target));
   std::printf("%s\n", core::summarize(r).c_str());
 
-  const int top_n =
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10;
+  const int top_n = int_flag(flags, "--top", 10);
   struct Entry {
     netlist::NodeId node;
     double score;
@@ -433,7 +470,7 @@ int cmd_analyze(const std::string& target,
   }
 
   if (flags.contains("--explain")) {
-    const int k = std::stoi(flags.at("--explain"));
+    const int k = int_flag(flags, "--explain", 0);
     explain::GnnExplainer explainer(*r.gcn, r.graph, r.features);
     std::vector<explain::Explanation> explanations;
     for (int i = 0; i < k && i < static_cast<int>(ranking.size()); ++i)
@@ -460,8 +497,7 @@ int cmd_scoap(const std::string& target,
               const std::map<std::string, std::string>& flags) {
   const auto d = load_target(target);
   const auto r = sim::compute_scoap(d.netlist);
-  const int top_n =
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10;
+  const int top_n = int_flag(flags, "--top", 10);
 
   // Rank by detection difficulty: min over polarity of (CC of the opposite
   // value + CO) — the classical testability measure.
@@ -495,9 +531,8 @@ int cmd_scoap(const std::string& target,
 int cmd_wave(const std::string& target,
              const std::map<std::string, std::string>& flags) {
   const auto d = load_target(target);
-  const int cycles =
-      flags.contains("--cycles") ? std::stoi(flags.at("--cycles")) : 128;
-  const int lane = flags.contains("--lane") ? std::stoi(flags.at("--lane")) : 0;
+  const int cycles = int_flag(flags, "--cycles", 128);
+  const int lane = int_flag(flags, "--lane", 0);
   const auto out_it = flags.find("-o");
   if (out_it == flags.end()) {
     sim::dump_vcd(d.netlist, d.stimulus, 1, cycles, lane, std::cout);
@@ -525,7 +560,7 @@ int cmd_autopsy(const std::string& target,
   }
   fault::CampaignConfig cfg;
   cfg.dangerous_cycle_fraction = d.dangerous_cycle_fraction;
-  if (flags.contains("--cycles")) cfg.cycles = std::stoi(flags.at("--cycles"));
+  cfg.cycles = int_flag(flags, "--cycles", cfg.cycles);
   const bool sa1 = flags.contains("--sa") && flags.at("--sa") == "1";
 
   fault::FaultCampaign campaign(d.netlist, d.stimulus, cfg);
@@ -543,8 +578,7 @@ int cmd_harden(const std::string& target,
   auto r = analyzer.analyze(load_target(target));
   std::printf("%s", core::summarize(r).c_str());
 
-  const auto k = static_cast<std::size_t>(
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10);
+  const auto k = static_cast<std::size_t>(int_flag(flags, "--top", 10));
   std::vector<netlist::NodeId> ranked(r.dataset.nodes);
   std::sort(ranked.begin(), ranked.end(),
             [&](netlist::NodeId a, netlist::NodeId b) {
@@ -575,12 +609,11 @@ int cmd_pack(const std::string& target,
   core::PipelineConfig cfg;
   cfg.train_baselines = false;  // the bundle ships only the GCNs
   if (flags.contains("--no-static-prune")) cfg.campaign_static_prune = false;
-  if (flags.contains("--cycles"))
-    cfg.campaign_cycles = std::stoi(flags.at("--cycles"));
-  if (flags.contains("--prob-cycles"))
-    cfg.probability_cycles = std::stoi(flags.at("--prob-cycles"));
+  cfg.campaign_cycles = int_flag(flags, "--cycles", cfg.campaign_cycles);
+  cfg.probability_cycles =
+      int_flag(flags, "--prob-cycles", cfg.probability_cycles);
   if (flags.contains("--epochs")) {
-    cfg.train.epochs = std::stoi(flags.at("--epochs"));
+    cfg.train.epochs = int_flag(flags, "--epochs", 0);
     cfg.regressor_train.epochs = cfg.train.epochs;
   }
   core::FaultCriticalityAnalyzer analyzer(cfg);
@@ -622,13 +655,11 @@ void print_score(const serve::ScoreResult& r, int top_n) {
 int cmd_score(const std::string& bundle_path, const std::string& target,
               const std::map<std::string, std::string>& flags) {
   serve::EngineConfig ec;
-  ec.threads =
-      flags.contains("--threads") ? std::stoi(flags.at("--threads")) : 2;
+  ec.threads = thread_flag(flags, 2);
   serve::ScoringEngine engine(ec);
   serve::ScoreOptions opts;
   opts.strict_hash = flags.contains("--strict");
-  const int top_n =
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10;
+  const int top_n = int_flag(flags, "--top", 10);
 
   // @list: one netlist per line, scored concurrently through the pool.
   if (util::starts_with(target, "@")) {
@@ -680,25 +711,20 @@ extern "C" void serve_signal_handler(int) {
 int cmd_serve(const std::string& bundle_dir,
               const std::map<std::string, std::string>& flags) {
   serve::EngineConfig ec;
-  if (flags.contains("--threads"))
-    ec.threads = std::stoi(flags.at("--threads"));
-  if (flags.contains("--cache"))
-    ec.cache_capacity =
-        static_cast<std::size_t>(std::stoi(flags.at("--cache")));
+  ec.threads = thread_flag(flags, ec.threads);
+  ec.cache_capacity = static_cast<std::size_t>(
+      int_flag(flags, "--cache", static_cast<int>(ec.cache_capacity)));
   // Declared before the engine: EngineConfig holds a pointer into it, so
   // it must outlive the workers that record spans.
   obs::RequestTraceCollector traces(
-      flags.contains("--trace-ring")
-          ? static_cast<std::size_t>(std::stoi(flags.at("--trace-ring")))
-          : 256);
+      static_cast<std::size_t>(int_flag(flags, "--trace-ring", 256)));
   traces.set_enabled(!flags.contains("--no-trace"));
   ec.traces = &traces;
   serve::ScoringEngine engine(ec);
 
   serve::ServerConfig sc;
   sc.bundle_dir = bundle_dir;
-  if (flags.contains("--port"))
-    sc.port = static_cast<std::uint16_t>(std::stoi(flags.at("--port")));
+  sc.port = static_cast<std::uint16_t>(int_flag(flags, "--port", sc.port));
   serve::Server server(engine, sc);
   // Opt-in observability (docs/OBSERVABILITY.md): the JSONL wide-event
   // access log, slow-request mirroring and the continuous telemetry
@@ -755,22 +781,17 @@ int cmd_serve(const std::string& bundle_dir,
 
 int cmd_check(const std::map<std::string, std::string>& flags) {
   check::CheckConfig cfg;
-  if (flags.contains("--trials")) cfg.trials = std::stoi(flags.at("--trials"));
+  cfg.trials = int_flag(flags, "--trials", cfg.trials);
   if (flags.contains("--seed")) cfg.seed = std::stoull(flags.at("--seed"));
-  if (flags.contains("--cycles")) cfg.cycles = std::stoi(flags.at("--cycles"));
-  if (flags.contains("--gates")) cfg.gates = std::stoi(flags.at("--gates"));
-  if (flags.contains("--flops")) cfg.flops = std::stoi(flags.at("--flops"));
-  if (flags.contains("--inputs")) cfg.inputs = std::stoi(flags.at("--inputs"));
-  if (flags.contains("--outputs"))
-    cfg.outputs = std::stoi(flags.at("--outputs"));
-  if (flags.contains("--faults"))
-    cfg.max_faults = std::stoi(flags.at("--faults"));
-  if (flags.contains("--serve-every"))
-    cfg.serve_every = std::stoi(flags.at("--serve-every"));
-  if (flags.contains("--campaign-every"))
-    cfg.campaign_every = std::stoi(flags.at("--campaign-every"));
-  if (flags.contains("--prune-every"))
-    cfg.prune_every = std::stoi(flags.at("--prune-every"));
+  cfg.cycles = int_flag(flags, "--cycles", cfg.cycles);
+  cfg.gates = int_flag(flags, "--gates", cfg.gates);
+  cfg.flops = int_flag(flags, "--flops", cfg.flops);
+  cfg.inputs = int_flag(flags, "--inputs", cfg.inputs);
+  cfg.outputs = int_flag(flags, "--outputs", cfg.outputs);
+  cfg.max_faults = int_flag(flags, "--faults", cfg.max_faults);
+  cfg.serve_every = int_flag(flags, "--serve-every", cfg.serve_every);
+  cfg.campaign_every = int_flag(flags, "--campaign-every", cfg.campaign_every);
+  cfg.prune_every = int_flag(flags, "--prune-every", cfg.prune_every);
   if (flags.contains("--no-shrink")) cfg.shrink = false;
   if (flags.contains("--no-dump")) cfg.dump_netlist = false;
   cfg.scratch_dir =
@@ -778,7 +799,7 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
 
   // Self-test: three phases, each planting one deliberate defect that the
   // run must CATCH — a wrong-XOR scalar reference (packed-vs-scalar
-  // oracle), a corrupted batched-campaign verdict (campaign oracle), and
+  // oracle), a corrupted frontier+collapse verdict (campaign oracle), and
   // an output-reachable fault marked pruned (static-prune oracle).
   if (flags.contains("--self-test")) {
     check::CheckConfig scalar_cfg = cfg;

@@ -2,26 +2,29 @@
 //
 // Primary output: BENCH_fi.json, the machine-readable speedup trajectory
 // of the campaign hot path on every built-in design —
-//   naive        full levelized re-simulation, no cone restriction
-//   cone         levelized sweep restricted to the fault's static cone
+//   cone@1t      levelized sweep restricted to the fault's static cone
 //                (the pre-frontier production method, baseline)
-//   frontier     event-driven divergence-frontier resim, one fault per pass
-//   frontier+batch  cone-disjoint fault batching + collapse-equivalence
-//                sharing on top of the frontier engine, at 1/2/4 threads
+//   frontier-nocollapse@1t  event-driven divergence-frontier resim, one
+//                pass per fault, collapse-equivalence sharing off
+//   frontier@{1,2,4}t  the production engine: frontier + collapse sharing
 // plus a static-prune A/B on the production engine: the same
-// frontier+batch campaign with static pruning (dead-cone faults skipped)
+// frontier@1t campaign with static pruning (dead-cone faults skipped)
 // disabled vs enabled, recording the prune rate and both end-to-end wall
 // times (the prune-on time includes the reachability pass itself). See
 // docs/STATIC_ANALYSIS.md.
-// Every leg is verified to produce bit-identical verdicts before its
-// timing is recorded (the `fcrit check` campaign oracle proves the same
-// equivalence on fuzzed circuits, and `diff_static_prune` the prune A/B).
+// Every leg is verified to produce verdicts bit-identical to the cone
+// leg before its timing is recorded (the `fcrit check` campaign oracle
+// proves the same equivalence on fuzzed circuits, and `diff_static_prune`
+// the prune A/B).
 //
 // Secondary output (full mode only): the paper's Section 1 pitch — run FI
 // on a subset, train the GCN, predict the rest — quantified per design.
 //
 // --quick: trajectory only, largest design only, shorter campaign; the CI
-// artifact step runs this mode.
+// artifact step runs this mode. Full levelized re-simulation without cone
+// restriction is not timed: docs/PERFORMANCE.md keeps its last figure as
+// the historical baseline, and the `fcrit check` fault oracle guards its
+// verdict equality with the cone leg.
 #include <cstring>
 
 #include "bench/bench_common.hpp"
@@ -37,8 +40,7 @@ struct Leg {
   fault::CampaignConfig config;
 };
 
-/// Verdict fields must agree across every leg (cone_size differs between
-/// naive and cone legs by design, so it is not compared here).
+/// Verdict fields and cone sizes must agree across every leg.
 bool same_verdicts(const fault::CampaignResult& a,
                    const fault::CampaignResult& b) {
   if (a.faults.size() != b.faults.size()) return false;
@@ -50,7 +52,8 @@ bool same_verdicts(const fault::CampaignResult& a,
         x.dangerous_lanes != y.dangerous_lanes ||
         x.detected_lanes != y.detected_lanes ||
         x.mismatch_cycles != y.mismatch_cycles ||
-        x.first_detect_cycle != y.first_detect_cycle)
+        x.first_detect_cycle != y.first_detect_cycle ||
+        x.cone_size != y.cone_size)
       return false;
   }
   return true;
@@ -85,9 +88,10 @@ int main(int argc, char** argv) {
     targets = {std::move(targets[best])};
   }
 
-  core::TextTable table({"Design", "Nodes", "Faults", "naive (s)", "cone (s)",
-                         "frontier (s)", "f+batch@1t (s)", "f+batch@4t (s)",
-                         "f+b@4t vs cone", "batches", "early-exit %"});
+  core::TextTable table({"Design", "Nodes", "Faults", "cone@1t (s)",
+                         "frontier-nocollapse@1t (s)", "frontier@1t (s)",
+                         "frontier@2t (s)", "frontier@4t (s)",
+                         "frontier@1t vs cone", "early-exit %"});
   core::TextTable prune_table({"Design", "Faults", "Pruned", "Prune %",
                                "triage (ms)", "prune-off (s)", "prune-on (s)",
                                "off vs on"});
@@ -99,23 +103,20 @@ int main(int argc, char** argv) {
     base.seed = 7;
     base.num_threads = 1;
 
+    // The cone leg comes first: every other leg is checked against it.
     std::vector<Leg> legs;
     {
-      Leg naive{"naive", base};
-      naive.config.engine = fault::FiEngine::kLevelized;
-      naive.config.use_cone_restriction = false;
-      Leg cone{"cone", base};
+      Leg cone{"cone@1t", base};
       cone.config.engine = fault::FiEngine::kLevelized;
-      Leg frontier{"frontier", base};
-      frontier.config.engine = fault::FiEngine::kFrontier;
-      frontier.config.batch_faults = false;
-      frontier.config.collapse_equivalent = false;
-      legs = {naive, cone, frontier};
+      Leg nocollapse{"frontier-nocollapse@1t", base};
+      nocollapse.config.engine = fault::FiEngine::kFrontier;
+      nocollapse.config.collapse_equivalent = false;
+      legs = {cone, nocollapse};
       for (const int threads : {1, 2, 4}) {
-        Leg batched{"frontier+batch@" + std::to_string(threads) + "t", base};
-        batched.config.engine = fault::FiEngine::kFrontier;
-        batched.config.num_threads = threads;
-        legs.push_back(batched);
+        Leg frontier{"frontier@" + std::to_string(threads) + "t", base};
+        frontier.config.engine = fault::FiEngine::kFrontier;
+        frontier.config.num_threads = threads;
+        legs.push_back(frontier);
       }
     }
 
@@ -126,48 +127,42 @@ int main(int argc, char** argv) {
                                     leg.config);
       const auto r = campaign.run_all();
       seconds.push_back(r.fault_seconds);
-      const std::string phase =
-          design.name + "/" +
-          (leg.label.find('@') == std::string::npos ? leg.label + "@1t"
-                                                    : leg.label);
-      rec.phase(phase, 1000.0 * r.fault_seconds);
+      rec.phase(design.name + "/" + leg.label, 1000.0 * r.fault_seconds);
       results.push_back(std::move(r));
     }
 
     for (std::size_t i = 1; i < results.size(); ++i) {
       if (!same_verdicts(results[0], results[i])) {
         std::fprintf(stderr,
-                     "bench_fi_speedup: %s leg '%s' diverged from naive!\n",
+                     "bench_fi_speedup: %s leg '%s' diverged from cone!\n",
                      design.name.c_str(), legs[i].label.c_str());
         all_identical = false;
       }
     }
 
-    const double cone_s = seconds[1];
-    const double batch4_s = seconds.back();
-    const auto& batch4 = results.back();
+    const auto& frontier = results[2];  // frontier@1t
     const double total_cycles =
-        static_cast<double>(batch4.simulated_faults) * cycles;
-    table.add_row(
-        {design.name, std::to_string(design.netlist.num_nodes()),
-         std::to_string(batch4.faults.size()),
-         util::format_double(seconds[0], 3), util::format_double(cone_s, 3),
-         util::format_double(seconds[2], 3), util::format_double(seconds[3], 3),
-         util::format_double(batch4_s, 3),
-         util::format_double(batch4_s > 0 ? cone_s / batch4_s : 0.0, 1) + "x",
-         std::to_string(batch4.num_batches),
-         util::format_double(total_cycles > 0
-                                 ? 100.0 * static_cast<double>(
-                                               batch4.early_exit_cycles) /
-                                       total_cycles
-                                 : 0.0,
-                             1)});
-    // The acceptance ratio, machine-readable: cone wall / frontier+batch@4t
-    // wall (a pure number recorded alongside the timing phases).
-    rec.phase(design.name + "/speedup_fb4t_vs_cone",
-              batch4_s > 0 ? cone_s / batch4_s : 0.0);
+        static_cast<double>(frontier.simulated_faults) * cycles;
+    std::vector<std::string> row{design.name,
+                                 std::to_string(design.netlist.num_nodes()),
+                                 std::to_string(frontier.faults.size())};
+    for (std::size_t i = 0; i < seconds.size(); ++i)
+      row.push_back(util::format_double(seconds[i], 3));
+    const double speedup = seconds[2] > 0 ? seconds[0] / seconds[2] : 0.0;
+    row.push_back(util::format_double(speedup, 1) + "x");
+    row.push_back(util::format_double(
+        total_cycles > 0 ? 100.0 *
+                               static_cast<double>(frontier.early_exit_cycles) /
+                               total_cycles
+                         : 0.0,
+        1));
+    table.add_row(row);
+    // The acceptance ratio at equal threads, machine-readable: cone@1t
+    // wall / frontier@1t wall (a pure number recorded alongside the timing
+    // phases).
+    rec.phase(design.name + "/speedup_frontier1t_vs_cone", speedup);
 
-    // Static-prune A/B on the production engine (frontier+batch@1t): the
+    // Static-prune A/B on the production engine (frontier@1t): the
     // identical campaign with static pruning off vs on. The prune-on wall
     // includes the reachability pass, so "off vs on" is an honest end-to-end
     // comparison; verdicts must stay bit-identical either way.
@@ -211,7 +206,7 @@ int main(int argc, char** argv) {
   std::printf("\ncampaign engine trajectory (fault_seconds, golden excluded)\n%s\n",
               table.to_string().c_str());
   std::printf(
-      "\nstatic-prune A/B, frontier+batch@1t (prune-on wall includes triage)\n"
+      "\nstatic-prune A/B, frontier@1t (prune-on wall includes triage)\n"
       "%s\n",
       prune_table.to_string().c_str());
   std::printf("verdict equality across all legs: %s\n",

@@ -218,17 +218,16 @@ std::string diff_campaign_equivalence(const designs::Design& design,
   {
     fault::CampaignConfig fc = config;
     fc.engine = fault::FiEngine::kFrontier;
-    fc.batch_faults = false;
     fc.collapse_equivalent = false;
     fc.num_threads = 1;
     legs.push_back({"frontier", fc});
     for (const int threads : {1, 2, 4}) {
-      fault::CampaignConfig bc = config;
-      bc.engine = fault::FiEngine::kFrontier;
-      bc.batch_faults = true;
-      bc.collapse_equivalent = true;
-      bc.num_threads = threads;
-      legs.push_back({"f+batch@" + std::to_string(threads) + "t", bc});
+      fault::CampaignConfig cc = config;
+      cc.engine = fault::FiEngine::kFrontier;
+      cc.collapse_equivalent = true;
+      cc.num_threads = threads;
+      legs.push_back(
+          {"frontier+collapse@" + std::to_string(threads) + "t", cc});
     }
   }
 
@@ -236,9 +235,9 @@ std::string diff_campaign_equivalence(const designs::Design& design,
     fault::FaultCampaign campaign(nl, design.stimulus, leg.cfg);
     fault::CampaignResult r = campaign.run_all();
 
-    // Planted defects corrupt exactly one leg (the batched 2-thread one)
+    // Planted defects corrupt exactly one leg (the collapse 2-thread one)
     // so the self-test proves the comparison below has teeth.
-    if (leg.name == "f+batch@2t" && bug != CampaignBug::kNone &&
+    if (leg.name == "frontier+collapse@2t" && bug != CampaignBug::kNone &&
         !r.faults.empty()) {
       if (bug == CampaignBug::kMismatchOffByOne) {
         r.faults.front().mismatch_cycles += 1;

@@ -13,8 +13,9 @@
 //                             (use_cone_restriction=false)  vs  serial
 //                             fault injection through
 //                             PackedSimulator::inject
-//   diff_campaign_equivalence frontier+batched campaign (1/2/4 threads)
-//                             vs  unbatched frontier  vs  levelized cone
+//   diff_campaign_equivalence frontier+collapse campaign (1/2/4
+//                             threads)  vs  frontier without collapse
+//                             sharing  vs  levelized cone
 //                             reference, whole-universe run_all verdicts,
 //                             plus serial PackedSimulator::inject replay
 //                             on a strided fault subset
@@ -62,15 +63,15 @@ std::string diff_fault_oracles(const designs::Design& design,
 /// for real checking.
 enum class CampaignBug {
   kNone = 0,
-  /// Bump fault 0's mismatch_cycles in the batched @2t leg by one.
+  /// Bump fault 0's mismatch_cycles in the frontier+collapse@2t leg by one.
   kMismatchOffByOne,
   /// Clear detected_lanes on the first detected fault of that leg.
   kDropDetection,
 };
 
 /// Run the full stuck-at campaign (run_all) through every engine leg —
-/// levelized cone (the reference), unbatched frontier, and
-/// frontier+batch+collapse at 1, 2 and 4 threads — and require
+/// levelized cone (the reference), frontier without collapse sharing, and
+/// frontier+collapse at 1, 2 and 4 threads — and require
 /// byte-identical dangerous_lanes / detected_lanes / mismatch_cycles /
 /// first_detect_cycle for every fault. Additionally replays up to
 /// `max_faults` faults (strided across the universe) through serial

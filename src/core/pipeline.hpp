@@ -42,18 +42,20 @@ struct PipelineConfig {
   /// Overrides the design's dangerous_cycle_fraction when >= 0.
   double dangerous_cycle_fraction = -1.0;
   /// Campaign engine knobs, passed straight through to CampaignConfig:
-  /// event-driven frontier resim with cone-disjoint fault batching and
-  /// collapse-equivalence sharing by default (bit-identical to the
-  /// levelized sweep at any thread count — the `fcrit check` campaign
-  /// oracle holds that line).
+  /// event-driven frontier resim with collapse-equivalence sharing by
+  /// default (bit-identical to the levelized sweep at any thread count —
+  /// the `fcrit check` campaign oracle holds that line).
   fault::FiEngine campaign_engine = fault::FiEngine::kFrontier;
+  /// Unused: nothing reads it. Kept only because the benchmark harness
+  /// (fcritbench/) still assigns it; delete it with the next benchmark
+  /// change.
   bool campaign_batch_faults = true;
   bool campaign_collapse_equivalent = true;
   /// Static pruning: skip faults whose site cannot reach any output.
   /// Verdict-preserving by construction; --no-static-prune is the escape
   /// hatch and the `diff_static_prune` oracle the enforcement.
   bool campaign_static_prune = true;
-  /// Worker threads for the campaign shards (-1 = inherit process pool).
+  /// Campaign worker lanes (-1 = inherit process pool).
   int campaign_threads = -1;
 
   // Algorithm 1 threshold.

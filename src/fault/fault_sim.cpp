@@ -1,10 +1,12 @@
 #include "src/fault/fault_sim.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -21,26 +23,6 @@ using netlist::CellKind;
 using netlist::NodeId;
 
 namespace {
-
-constexpr std::uint32_t kNoOwner = 0xFFFFFFFFu;
-
-/// Exact cone occupancy bitset: one bit per netlist node. Disjointness
-/// tests are exact — a hashed signature saturates as soon as cones reach
-/// a few hundred nodes and would serialize faults that are in fact
-/// independent (e.g. different zones of a zonal fabric). Planning runs
-/// once per campaign and sites share cached signatures, so the word-wise
-/// scan is cheap relative to simulation.
-using ConeSig = std::vector<std::uint64_t>;
-
-bool sig_disjoint(const ConeSig& a, const ConeSig& b) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc |= a[i] & b[i];
-  return acc == 0;
-}
-
-void sig_merge(ConeSig& a, const ConeSig& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] |= b[i];
-}
 
 bool is_source_kind(CellKind k) {
   return k == CellKind::kInput || k == CellKind::kConst0 ||
@@ -85,17 +67,32 @@ inline std::uint64_t eval_cell(CellKind kind, const std::uint64_t* ins) {
   }
 }
 
-/// Shard [0, items) over the lane count CampaignConfig::num_threads
+/// Run `lane(next)` once on each of the lanes CampaignConfig::num_threads
 /// resolves to: -1 = the process pool (--jobs / FCRIT_THREADS), otherwise
-/// a private pool of exactly that many lanes (0 = hardware concurrency)
-/// so an explicit request never reconfigures global state.
-void shard(int num_threads, std::int64_t items, const util::ChunkFn& body) {
-  if (items <= 0) return;
+/// a private pool of exactly that many lanes (0 = hardware concurrency),
+/// so an explicit request never reconfigures global state. `next(i)` hands
+/// out the indices of [0, items) from one shared atomic cursor and returns
+/// false once they run out, so a lane held up by a slow fault never
+/// strands the faults behind it.
+template <class Lane>
+void pull_each(int num_threads, std::size_t items, const Lane& lane) {
+  if (items == 0) return;
+  std::atomic<std::size_t> cursor{0};
+  const auto next = [&](std::size_t& i) {
+    i = cursor.fetch_add(1, std::memory_order_relaxed);
+    return i < items;
+  };
+  const int lanes = num_threads < 0    ? util::num_threads()
+                    : num_threads == 0 ? util::hardware_threads()
+                                       : num_threads;
+  const auto n = static_cast<std::int64_t>(
+      std::min(static_cast<std::size_t>(lanes), items));
+  const util::ChunkFn body = [&](std::int64_t, std::int64_t) { lane(next); };
   if (num_threads < 0) {
-    util::parallel_for(0, items, 1, body);
+    util::parallel_for(0, n, 1, body);
   } else {
-    util::ThreadPool pool(num_threads);
-    pool.parallel_for(0, items, 1, body);
+    util::ThreadPool pool(static_cast<int>(n));
+    pool.parallel_for(0, n, 1, body);
   }
 }
 
@@ -132,6 +129,9 @@ FaultCampaign::FaultCampaign(const netlist::Netlist& nl,
   is_po_driver_.assign(num_nodes_, 0);
   for (const auto& port : nl.outputs()) is_po_driver_[port.driver] = 1;
   build_frontier_graph();
+  // The fanout CSR cache (transitive_fanout) must exist before worker
+  // threads race to read it.
+  if (num_nodes_ > 0) nl.fanouts(0);
 }
 
 void FaultCampaign::build_frontier_graph() {
@@ -209,12 +209,6 @@ std::vector<NodeId> FaultCampaign::transitive_fanout(NodeId src) const {
     }
   }
   return queue;
-}
-
-FaultResult FaultCampaign::simulate_fault(const Fault& fault) const {
-  if (config_.engine == FiEngine::kLevelized)
-    return simulate_fault_levelized(fault);
-  return simulate_batch(std::span(&fault, 1))[0];
 }
 
 FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
@@ -326,38 +320,31 @@ FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
 // ---------------------------------------------------------------------------
 
 /// Per-worker frontier state. All per-node arrays are epoch-stamped (one
-/// epoch per simulated cycle, one batch epoch per packed pass), so reusing
-/// the scratch across batches never requires an O(num_nodes) clear.
+/// epoch per simulated fault-cycle), so reusing the scratch across faults
+/// never requires an O(num_nodes) clear.
 struct FaultCampaign::FrontierScratch {
   /// A flip-flop whose state diverged on the last clock edge, with the
-  /// faulty state word and the batch-local fault that owns the divergence.
+  /// faulty state word.
   struct DivFlop {
     netlist::NodeId ff;
-    std::uint32_t owner;
     std::uint64_t value;
   };
 
   /// Divergence record per node, packed so one cache line carries both the
-  /// "is it divergent this cycle" answer and the faulty word: `tag` is
-  /// (owner << kOwnerShift) | epoch, `val` the divergent value.
+  /// "is it divergent this cycle" answer and the faulty word.
   struct DivState {
-    std::uint64_t tag;
+    std::uint64_t epoch;
     std::uint64_t val;
   };
-  static constexpr int kOwnerShift = 48;
-  static constexpr std::uint64_t kEpochMask = (1ULL << kOwnerShift) - 1;
 
-  std::vector<DivState> div;               // divergence tag + faulty word
+  std::vector<DivState> div;               // divergence epoch + faulty word
   std::vector<std::uint64_t> queue_epoch;  // node queued this cycle
-  std::vector<std::uint64_t> site_epoch;   // node is a forced site this pass
   std::vector<std::vector<netlist::NodeId>> buckets;  // worklist per level
   std::vector<netlist::NodeId> divergent_pos;  // PO drivers marked this cycle
   std::vector<netlist::NodeId> captures;       // flops capturing divergence
   std::vector<DivFlop> div_ffs, next_div_ffs;
-  std::vector<std::uint32_t> lane_cycles;  // k * kLanes mismatch counters
-  std::vector<std::uint64_t> site_sched;   // k per-site divergence bitmasks
+  std::vector<std::uint64_t> sched;  // site divergence bitmask per cycle
   std::uint64_t epoch = 0;
-  std::uint64_t batch_epoch = 0;
   std::uint64_t evals = 0;        // nodes re-evaluated (fi.frontier_nodes)
   std::uint64_t early_exits = 0;  // quiesced fault-cycles (fi.early_exits)
 
@@ -365,47 +352,34 @@ struct FaultCampaign::FrontierScratch {
     if (div.size() != n) {
       div.assign(n, DivState{0, 0});
       queue_epoch.assign(n, 0);
-      site_epoch.assign(n, 0);
       epoch = 0;
-      batch_epoch = 0;
     }
     if (static_cast<int>(buckets.size()) < max_level + 1)
       buckets.resize(static_cast<std::size_t>(max_level) + 1);
   }
 };
 
-void FaultCampaign::run_frontier_pass(std::span<const Fault> batch,
-                                      FrontierScratch& s,
-                                      FaultResult* out) const {
-  const std::size_t k = batch.size();
+FaultResult FaultCampaign::simulate_fault_frontier(const Fault& fault,
+                                                   FrontierScratch& s) const {
   s.ensure(num_nodes_, lev_.max_level);
-  const std::uint64_t bep = ++s.batch_epoch;
+  FaultResult out;
+  out.fault = fault;
+  const NodeId site = fault.node;
+  const std::uint64_t stuck = fault.stuck_value ? ~0ULL : 0;
 
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = FaultResult{};
-    out[i].fault = batch[i];
-    s.site_epoch[batch[i].node] = bep;
-  }
-  s.lane_cycles.assign(k * static_cast<std::size_t>(sim::kLanes), 0);
-
-  // Per-site divergence schedule, one strided sweep over the golden trace
-  // per site up front: bit t of row i says fault i's stuck word differs
-  // from golden on cycle t. Quiet cycles are then decided from these
-  // bitmasks (plus the carried flop state) without touching the trace,
-  // which is what makes a mostly-quiescent batch nearly free to simulate.
-  const std::size_t sched_words =
-      (static_cast<std::size_t>(config_.cycles) + 63) / 64;
-  s.site_sched.assign(k * sched_words, 0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const NodeId site = batch[i].node;
-    const std::uint64_t w = batch[i].stuck_value ? ~0ULL : 0;
-    std::uint64_t* row = s.site_sched.data() + i * sched_words;
-    for (int t = 0; t < config_.cycles; ++t)
-      if (trace_[static_cast<std::size_t>(t) * num_nodes_ + site] != w)
-        row[static_cast<std::size_t>(t) >> 6] |= 1ULL << (t & 63);
-  }
+  // Divergence schedule, one strided sweep over the golden trace up front:
+  // bit t says the stuck word differs from golden on cycle t. Quiet cycles
+  // are then decided from this bitmask (plus the carried flop state)
+  // without touching the trace, which is what makes a mostly-quiescent
+  // fault nearly free to simulate.
+  s.sched.assign((static_cast<std::size_t>(config_.cycles) + 63) / 64, 0);
+  for (int t = 0; t < config_.cycles; ++t)
+    if (trace_[static_cast<std::size_t>(t) * num_nodes_ + site] != stuck)
+      s.sched[static_cast<std::size_t>(t) >> 6] |= 1ULL << (t & 63);
+  const std::uint64_t* sched = s.sched.data();
 
   std::array<std::uint64_t, netlist::kMaxFanins> ins{};
+  std::array<std::uint32_t, sim::kLanes> lane_cycles{};
 
   // Hot-loop state as raw pointers: the pass must never touch the
   // string-bearing Node structs or the shared fanout cache (FrontierGraph
@@ -421,324 +395,131 @@ void FaultCampaign::run_frontier_pass(std::span<const Fault> batch,
   const std::uint8_t* is_po = is_po_driver_.data();
   FrontierScratch::DivState* div = s.div.data();
   std::uint64_t* queue_epoch = s.queue_epoch.data();
-  const std::uint64_t* site_epoch = s.site_epoch.data();
-  constexpr int kOwnerShift = FrontierScratch::kOwnerShift;
-  constexpr std::uint64_t kEpochMask = FrontierScratch::kEpochMask;
   std::uint64_t evals = 0;
 
-  const std::uint64_t* site_sched = s.site_sched.data();
-
-  // Batch members have pairwise disjoint cones and never interact, so the
-  // pass walks them member-major: each member's divergence records,
-  // golden-trace lines, and worklist buckets stay hot across its whole
-  // schedule, and each member skips its own quiet cycles independently
-  // (interleaving scattered cone regions cycle-major measurably defeats
-  // the golden-trace stream prefetcher). The members still share the
-  // pass's schedule prepass, scratch state, and shard slot.
-  for (std::size_t mi = 0; mi < k; ++mi) {
-    const NodeId site = batch[mi].node;
-    const std::uint64_t stuck = batch[mi].stuck_value ? ~0ULL : 0;
-    const std::uint64_t* sched = site_sched + mi * sched_words;
-    const std::uint32_t owner = static_cast<std::uint32_t>(mi);
-    s.div_ffs.clear();
-
-    for (int t = 0; t < config_.cycles; ++t) {
-      const std::size_t tw = static_cast<std::size_t>(t) >> 6;
-      const std::uint64_t tb = 1ULL << (t & 63);
-      if (!(sched[tw] & tb) && s.div_ffs.empty()) {
-        // The fault is indistinguishable from golden this cycle, and no
-        // divergent state survives from the previous one.
-        ++s.early_exits;
-        continue;
-      }
-      const std::uint64_t* golden_row =
-          trace_.data() + static_cast<std::size_t>(t) * num_nodes_;
-      const std::uint64_t ep = ++s.epoch & kEpochMask;
-      int min_lvl = lev_.max_level + 1;
-      int max_lvl = -1;
-      s.divergent_pos.clear();
-      s.captures.clear();
-
-      // Record a node's divergence from golden and schedule its fanout:
-      // combinational consumers join the level-ordered worklist, flip-flops
-      // capture the divergent D on this cycle's clock edge (unless the flop
-      // itself is a forced fault site).
-      auto mark_divergent = [&](NodeId n, std::uint64_t v, std::uint32_t own) {
-        div[n].tag = (static_cast<std::uint64_t>(own) << kOwnerShift) | ep;
-        div[n].val = v;
-        if (is_po[n]) s.divergent_pos.push_back(n);
-        for (std::uint32_t e = comb_off[n]; e < comb_off[n + 1]; ++e) {
-          const std::uint64_t entry = comb_edge[e];
-          const NodeId c = static_cast<NodeId>(entry);
-          if (queue_epoch[c] == ep) continue;
-          queue_epoch[c] = ep;
-          const int lvl = static_cast<int>(entry >> 32);
-          s.buckets[static_cast<std::size_t>(lvl)].push_back(c);
-          if (lvl < min_lvl) min_lvl = lvl;
-          if (lvl > max_lvl) max_lvl = lvl;
-        }
-        for (std::uint32_t e = flop_off[n]; e < flop_off[n + 1]; ++e) {
-          const NodeId c = flop_edge[e];
-          if (site_epoch[c] != bep) s.captures.push_back(c);
-        }
-      };
-
-      // Seed the frontier. The forced site first pre-claims its worklist
-      // slot — a site's value never depends on its fanins, so even when
-      // its own divergence wraps around through flip-flop state it must
-      // not be re-evaluated — then the site (when the schedule says its
-      // stuck word differs from golden this cycle) and flip-flops whose
-      // state diverged on the previous clock edge (DFFs never appear in
-      // the combinational CSR, so they are never queued).
-      queue_epoch[site] = ep;
-      if (sched[tw] & tb) mark_divergent(site, stuck, owner);
-      for (const auto& df : s.div_ffs)
-        mark_divergent(df.ff, df.value, df.owner);
-
-      // Drain the worklist in ascending level order; marking a node only
-      // ever queues strictly deeper levels, so one sweep settles the cycle
-      // and every queued node is evaluated exactly once (queue_epoch dedups
-      // at push time).
-      for (int lvl = min_lvl; lvl <= max_lvl; ++lvl) {
-        auto& bucket = s.buckets[static_cast<std::size_t>(lvl)];
-        for (const NodeId n : bucket) {
-          ++evals;
-          const std::uint32_t* fi =
-              fanin + static_cast<std::size_t>(n) * netlist::kMaxFanins;
-          const std::size_t fc = fanin_count[n];
-          // Branchless gather: whether a fanin is divergent this cycle is
-          // data-dependent and unpredictable, so a select beats a branch
-          // here by a wide margin. Owner attribution rides along the same
-          // mask (within one member's walk every divergent fanin carries
-          // this member's owner tag).
-          std::uint64_t own = ~0ULL;
-          for (std::size_t j = 0; j < fc; ++j) {
-            const NodeId f = fi[j];
-            const std::uint64_t tag = div[f].tag;
-            const std::uint64_t m =
-                static_cast<std::uint64_t>(0) -
-                static_cast<std::uint64_t>((tag & kEpochMask) == ep);
-            ins[j] = (div[f].val & m) | (golden_row[f] & ~m);
-            own = (own & ~m) | ((tag >> kOwnerShift) & m);
-          }
-          const std::uint64_t v =
-              eval_cell(static_cast<CellKind>(kind[n]), ins.data());
-          if (v != golden_row[n])
-            mark_divergent(n, v, static_cast<std::uint32_t>(own));
-        }
-        bucket.clear();
-      }
-
-      // Accumulate this fault's primary-output mismatches (the OR over its
-      // divergent PO drivers — same aggregation as the levelized sweep's
-      // any_mismatch).
-      if (!s.divergent_pos.empty()) {
-        std::uint64_t m = 0;
-        for (const NodeId p : s.divergent_pos)
-          m |= div[p].val ^ golden_row[p];
-        if (m) {
-          FaultResult& r = out[mi];
-          if (r.first_detect_cycle < 0)
-            r.first_detect_cycle = static_cast<std::int32_t>(t);
-          r.detected_lanes |= m;
-          r.mismatch_cycles += static_cast<std::uint32_t>(std::popcount(m));
-          std::uint64_t mm = m;
-          std::uint32_t* lanes =
-              s.lane_cycles.data() + mi * static_cast<std::size_t>(sim::kLanes);
-          while (mm) {
-            ++lanes[std::countr_zero(mm)];
-            mm &= mm - 1;
-          }
-        }
-      }
-
-      // Clock edge: flops whose D diverged carry the divergence into the
-      // next cycle; every other flop matches golden and simply drops out.
-      s.next_div_ffs.clear();
-      for (const NodeId ff : s.captures) {
-        const NodeId d =
-            fanin[static_cast<std::size_t>(ff) * netlist::kMaxFanins];
-        s.next_div_ffs.push_back(
-            {ff, static_cast<std::uint32_t>(div[d].tag >> kOwnerShift),
-             div[d].val});
-      }
-      s.div_ffs.swap(s.next_div_ffs);
+  s.div_ffs.clear();
+  for (int t = 0; t < config_.cycles; ++t) {
+    const std::size_t tw = static_cast<std::size_t>(t) >> 6;
+    const std::uint64_t tb = 1ULL << (t & 63);
+    if (!(sched[tw] & tb) && s.div_ffs.empty()) {
+      // The fault is indistinguishable from golden this cycle, and no
+      // divergent state survives from the previous one.
+      ++s.early_exits;
+      continue;
     }
+    const std::uint64_t* golden_row =
+        trace_.data() + static_cast<std::size_t>(t) * num_nodes_;
+    const std::uint64_t ep = ++s.epoch;
+    int min_lvl = lev_.max_level + 1;
+    int max_lvl = -1;
+    s.divergent_pos.clear();
+    s.captures.clear();
+
+    // Record a node's divergence from golden and schedule its fanout:
+    // combinational consumers join the level-ordered worklist, flip-flops
+    // capture the divergent D on this cycle's clock edge (unless the flop
+    // is the forced fault site itself).
+    auto mark_divergent = [&](NodeId n, std::uint64_t v) {
+      div[n] = {ep, v};
+      if (is_po[n]) s.divergent_pos.push_back(n);
+      for (std::uint32_t e = comb_off[n]; e < comb_off[n + 1]; ++e) {
+        const std::uint64_t entry = comb_edge[e];
+        const NodeId c = static_cast<NodeId>(entry);
+        if (queue_epoch[c] == ep) continue;
+        queue_epoch[c] = ep;
+        const int lvl = static_cast<int>(entry >> 32);
+        s.buckets[static_cast<std::size_t>(lvl)].push_back(c);
+        if (lvl < min_lvl) min_lvl = lvl;
+        if (lvl > max_lvl) max_lvl = lvl;
+      }
+      for (std::uint32_t e = flop_off[n]; e < flop_off[n + 1]; ++e) {
+        const NodeId c = flop_edge[e];
+        if (c != site) s.captures.push_back(c);
+      }
+    };
+
+    // Seed the frontier. The forced site first pre-claims its worklist
+    // slot — a site's value never depends on its fanins, so even when its
+    // own divergence wraps around through flip-flop state it must not be
+    // re-evaluated — then the site (when the schedule says its stuck word
+    // differs from golden this cycle) and flip-flops whose state diverged
+    // on the previous clock edge (DFFs never appear in the combinational
+    // CSR, so they are never queued).
+    queue_epoch[site] = ep;
+    if (sched[tw] & tb) mark_divergent(site, stuck);
+    for (const auto& df : s.div_ffs) mark_divergent(df.ff, df.value);
+
+    // Drain the worklist in ascending level order; marking a node only
+    // ever queues strictly deeper levels, so one sweep settles the cycle
+    // and every queued node is evaluated exactly once (queue_epoch dedups
+    // at push time).
+    for (int lvl = min_lvl; lvl <= max_lvl; ++lvl) {
+      auto& bucket = s.buckets[static_cast<std::size_t>(lvl)];
+      for (const NodeId n : bucket) {
+        ++evals;
+        const std::uint32_t* fi =
+            fanin + static_cast<std::size_t>(n) * netlist::kMaxFanins;
+        const std::size_t fc = fanin_count[n];
+        // Branchless gather: whether a fanin is divergent this cycle is
+        // data-dependent and unpredictable, so a select beats a branch
+        // here by a wide margin.
+        for (std::size_t j = 0; j < fc; ++j) {
+          const NodeId f = fi[j];
+          const std::uint64_t m = static_cast<std::uint64_t>(0) -
+                                  static_cast<std::uint64_t>(div[f].epoch == ep);
+          ins[j] = (div[f].val & m) | (golden_row[f] & ~m);
+        }
+        const std::uint64_t v =
+            eval_cell(static_cast<CellKind>(kind[n]), ins.data());
+        if (v != golden_row[n]) mark_divergent(n, v);
+      }
+      bucket.clear();
+    }
+
+    // Accumulate the primary-output mismatches (the OR over the divergent
+    // PO drivers — same aggregation as the levelized sweep's any_mismatch).
+    if (!s.divergent_pos.empty()) {
+      std::uint64_t m = 0;
+      for (const NodeId p : s.divergent_pos) m |= div[p].val ^ golden_row[p];
+      if (m) {
+        if (out.first_detect_cycle < 0)
+          out.first_detect_cycle = static_cast<std::int32_t>(t);
+        out.detected_lanes |= m;
+        out.mismatch_cycles += static_cast<std::uint32_t>(std::popcount(m));
+        for (std::uint64_t mm = m; mm; mm &= mm - 1)
+          ++lane_cycles[static_cast<std::size_t>(std::countr_zero(mm))];
+      }
+    }
+
+    // Clock edge: flops whose D diverged carry the divergence into the
+    // next cycle; every other flop matches golden and simply drops out.
+    s.next_div_ffs.clear();
+    for (const NodeId ff : s.captures) {
+      const NodeId d =
+          fanin[static_cast<std::size_t>(ff) * netlist::kMaxFanins];
+      s.next_div_ffs.push_back({ff, div[d].val});
+    }
+    s.div_ffs.swap(s.next_div_ffs);
   }
   s.evals += evals;
 
   const auto threshold =
       static_cast<std::uint32_t>(config_.min_mismatch_cycles());
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::uint32_t* lanes =
-        s.lane_cycles.data() + i * static_cast<std::size_t>(sim::kLanes);
-    for (int lane = 0; lane < sim::kLanes; ++lane) {
-      if (lanes[lane] >= threshold)
-        out[i].dangerous_lanes |= (1ULL << lane);
-    }
-  }
-}
-
-BatchPlan FaultCampaign::plan_batches(std::span<const Fault> faults) const {
-  BatchPlan plan;
-  const std::size_t n = faults.size();
-  plan.sim_as.resize(n);
-  plan.cone_size.resize(n);
-  if (n == 0) return plan;
-
-  // Collapse-equivalence sharing: map every fault onto the first input
-  // occurrence of its class representative when one is present (the
-  // BUF/INV chain rule makes their PO corruption — and so every verdict
-  // field — identical; cone_size stays the member's own).
-  CollapsedFaults collapsed;
-  if (config_.collapse_equivalent) collapsed = collapse_faults(*nl_);
-  std::unordered_map<std::uint64_t, std::uint32_t> first_index;
-  first_index.reserve(n * 2);
-  for (std::size_t i = 0; i < n; ++i)
-    first_index.emplace(fault_key(faults[i]), static_cast<std::uint32_t>(i));
-  for (std::size_t i = 0; i < n; ++i) {
-    Fault rep = faults[i];
-    if (config_.collapse_equivalent) {
-      const Fault& r = collapsed.representative(faults[i]);
-      if (r.node != netlist::kNoNode) rep = r;
-    }
-    const auto it = first_index.find(fault_key(rep));
-    plan.sim_as[i] = it != first_index.end() ? it->second
-                                             : static_cast<std::uint32_t>(i);
-  }
-
-  // One BFS per unique fault site: exact cone size for every input fault
-  // (SA0/SA1 share it) and an exact occupancy bitset for the simulated
-  // ones.
-  const std::size_t sig_words = (num_nodes_ + 63) / 64;
-  struct ConeInfo {
-    std::uint32_t size = 0;
-    ConeSig sig;
-  };
-  std::unordered_map<NodeId, ConeInfo> cones;
-  cones.reserve(n);
-  auto cone_of = [&](NodeId site) -> const ConeInfo& {
-    auto it = cones.find(site);
-    if (it != cones.end()) return it->second;
-    ConeInfo info;
-    info.sig.assign(sig_words, 0);
-    for (const NodeId id : transitive_fanout(site)) {
-      if (is_source_kind(nl_->kind(id))) continue;
-      ++info.size;
-      info.sig[id >> 6] |= 1ULL << (id & 63u);
-    }
-    return cones.emplace(site, std::move(info)).first->second;
-  };
-  for (std::size_t i = 0; i < n; ++i)
-    plan.cone_size[i] = cone_of(faults[i].node).size;
-
-  // Greedy first-fit packing of the simulated faults into cone-disjoint
-  // batches: scan the most recent open batches for one whose accumulated
-  // signature shares no bit with this cone. Deterministic for a given
-  // input order.
-  // Owners ride in the top 16 bits of the divergence tag, so a pass can
-  // attribute at most 2^16 - 1 faults.
-  const std::size_t max_batch = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, config_.max_batch)), 0xFFFF);
-  const bool batching = config_.batch_faults && max_batch > 1;
-  constexpr std::size_t kScanWindow = 32;
-  struct Open {
-    ConeSig sig;
-    std::vector<std::uint32_t> members;
-    std::uint32_t cls = 0;
-  };
-  std::vector<Open> open;
-  // Pack in a deterministic pseudo-shuffled order: the fault list arrives
-  // in node-id order, which clusters structurally overlapping faults (one
-  // region of the design) back to back — every one of them would open its
-  // own batch long before a disjoint partner from another region shows
-  // up inside the scan window. Interleaving by a fixed multiplicative
-  // hash mixes the regions so first-fit actually pairs disjoint cones.
-  //
-  // The shuffle is keyed secondarily; the primary key is an activity
-  // class read off the golden trace (when available): a fault whose stuck
-  // word matches the site's golden word on nearly every cycle only wakes
-  // on the few cycles where they differ. run_frontier_pass walks a batch's
-  // members one after another, each with its own quiet-cycle early exit,
-  // so the class does not change the node-evaluation count; it only
-  // decides which faults share a pass (one shard work item), keeping
-  // near-free quiet faults together and busy ones together.
-  auto activity_class = [&](const Fault& f) -> std::uint32_t {
-    if (!golden_ready_) return 0;
-    const std::uint64_t stuck = f.stuck_value ? ~0ULL : 0ULL;
-    std::uint32_t differing = 0;
-    for (int t = 0; t < config_.cycles; ++t)
-      differing += golden_value(t, f.node) != stuck ? 1u : 0u;
-    return differing * 8u > static_cast<std::uint32_t>(config_.cycles) ? 1u
-                                                                       : 0u;
-  };
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    if (plan.sim_as[i] == i) order.push_back(static_cast<std::uint32_t>(i));
-  std::vector<std::uint32_t> cls(n, 0);
-  if (batching) {
-    auto shuffle_key = [&](std::uint32_t i) {
-      return (static_cast<std::uint64_t>(faults[i].node) << 1 |
-              static_cast<std::uint64_t>(faults[i].stuck_value)) *
-             0x9E3779B97F4A7C15ULL;
-    };
-    for (const std::uint32_t i : order) cls[i] = activity_class(faults[i]);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t c) {
-                if (cls[a] != cls[c]) return cls[a] < cls[c];
-                const auto ka = shuffle_key(a), kc = shuffle_key(c);
-                return ka != kc ? ka < kc : a < c;
-              });
-  }
-  for (const std::uint32_t idx : order) {
-    const std::size_t i = idx;
-    if (!batching) {
-      plan.batches.push_back({idx});
-      continue;
-    }
-    const ConeSig& sig = cone_of(faults[i].node).sig;
-    bool placed = false;
-    const std::size_t stop =
-        open.size() > kScanWindow ? open.size() - kScanWindow : 0;
-    for (std::size_t b = open.size(); b-- > stop;) {
-      if (open[b].cls == cls[i] && open[b].members.size() < max_batch &&
-          sig_disjoint(open[b].sig, sig)) {
-        sig_merge(open[b].sig, sig);
-        open[b].members.push_back(idx);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) open.push_back(Open{sig, {idx}, cls[i]});
-  }
-  for (Open& o : open) plan.batches.push_back(std::move(o.members));
-  return plan;
-}
-
-std::vector<FaultResult> FaultCampaign::simulate_batch(
-    std::span<const Fault> faults) const {
-  if (!golden_ready_)
-    throw std::runtime_error("simulate_batch: golden trace not recorded");
-  if (num_nodes_ > 0) nl_->fanouts(0);  // warm the CSR cache
-  const BatchPlan plan = plan_batches(faults);
-  std::vector<FaultResult> out(faults.size());
-  FrontierScratch scratch;
-  std::vector<Fault> group;
-  std::vector<FaultResult> results;
-  for (const auto& batch : plan.batches) {
-    group.clear();
-    for (const std::uint32_t i : batch) group.push_back(faults[i]);
-    results.resize(batch.size());
-    run_frontier_pass(group, scratch, results.data());
-    for (std::size_t j = 0; j < batch.size(); ++j) out[batch[j]] = results[j];
-  }
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (plan.sim_as[i] != i) out[i] = out[plan.sim_as[i]];
-    out[i].fault = faults[i];
-    out[i].cone_size = plan.cone_size[i];
-  }
+  for (int lane = 0; lane < sim::kLanes; ++lane)
+    if (lane_cycles[static_cast<std::size_t>(lane)] >= threshold)
+      out.dangerous_lanes |= (1ULL << lane);
   return out;
+}
+
+FaultResult FaultCampaign::simulate_fault(const Fault& fault) const {
+  if (config_.engine == FiEngine::kLevelized)
+    return simulate_fault_levelized(fault);
+  if (!golden_ready_)
+    throw std::runtime_error("simulate_fault: golden trace not recorded");
+  FrontierScratch scratch;
+  FaultResult result = simulate_fault_frontier(fault, scratch);
+  result.cone_size = static_cone_size(fault.node);
+  return result;
 }
 
 CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
@@ -747,58 +528,69 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
   out.num_nodes = num_nodes_;
   util::Timer timer;
 
-  BatchPlan plan;
+  // Per input fault: the input index whose simulation supplies its verdict
+  // (itself unless collapse-equivalence sharing maps it onto the first
+  // input occurrence of its class representative — the BUF/INV chain rule
+  // makes their PO corruption, and so every verdict field, identical) and
+  // its own static cone size (SA0/SA1 share one BFS).
+  const std::size_t n = faults.size();
+  std::vector<std::uint32_t> sim_as(n);
+  std::vector<std::uint32_t> simulated;  // inputs that get their own pass
+  std::vector<std::uint32_t> cone_size(n);
   {
     obs::Span span("fi_plan");
-    plan = plan_batches(faults);
+    CollapsedFaults collapsed;
+    if (config_.collapse_equivalent) collapsed = collapse_faults(*nl_);
+    std::unordered_map<std::uint64_t, std::uint32_t> first_index;
+    first_index.reserve(n * 2);
+    for (std::size_t i = 0; i < n; ++i)
+      first_index.emplace(fault_key(faults[i]), static_cast<std::uint32_t>(i));
+    constexpr std::uint32_t kUnknown = 0xFFFFFFFFu;
+    std::vector<std::uint32_t> site_cone(num_nodes_, kUnknown);
+    for (std::size_t i = 0; i < n; ++i) {
+      Fault rep = faults[i];
+      if (config_.collapse_equivalent) {
+        const Fault& r = collapsed.representative(faults[i]);
+        if (r.node != netlist::kNoNode) rep = r;
+      }
+      const auto it = first_index.find(fault_key(rep));
+      sim_as[i] = it != first_index.end() ? it->second
+                                          : static_cast<std::uint32_t>(i);
+      if (sim_as[i] == i) simulated.push_back(static_cast<std::uint32_t>(i));
+      std::uint32_t& cone = site_cone[faults[i].node];
+      if (cone == kUnknown) cone = static_cone_size(faults[i].node);
+      cone_size[i] = cone;
+    }
   }
 
-  auto& reg = obs::registry();
-  auto& evals_counter = reg.counter("fi.frontier_nodes");
-  auto& early_counter = reg.counter("fi.early_exits");
-  auto& batches_counter = reg.counter("fi.batches");
-  auto& batch_size_hist =
-      reg.histogram("fi.batch_size", {1, 2, 4, 8, 16, 32, 64});
-
-  out.faults.resize(faults.size());
+  out.faults.resize(n);
   std::atomic<std::uint64_t> evals{0};
   std::atomic<std::uint64_t> early{0};
   {
     obs::Span span("fi_sim");
-    shard(config_.num_threads,
-          static_cast<std::int64_t>(plan.batches.size()),
-          [&](std::int64_t b0, std::int64_t b1) {
-            FrontierScratch scratch;
-            std::vector<Fault> group;
-            std::vector<FaultResult> results;
-            for (std::int64_t b = b0; b < b1; ++b) {
-              const auto& batch = plan.batches[static_cast<std::size_t>(b)];
-              group.clear();
-              for (const std::uint32_t i : batch) group.push_back(faults[i]);
-              results.resize(batch.size());
-              run_frontier_pass(group, scratch, results.data());
-              for (std::size_t j = 0; j < batch.size(); ++j)
-                out.faults[batch[j]] = results[j];
-              batch_size_hist.observe(static_cast<double>(batch.size()));
-            }
-            evals.fetch_add(scratch.evals, std::memory_order_relaxed);
-            early.fetch_add(scratch.early_exits, std::memory_order_relaxed);
-          });
+    pull_each(config_.num_threads, simulated.size(), [&](const auto& next) {
+      FrontierScratch scratch;
+      for (std::size_t k; next(k);) {
+        const std::uint32_t i = simulated[k];
+        out.faults[i] = simulate_fault_frontier(faults[i], scratch);
+      }
+      evals.fetch_add(scratch.evals, std::memory_order_relaxed);
+      early.fetch_add(scratch.early_exits, std::memory_order_relaxed);
+    });
   }
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (plan.sim_as[i] != i) out.faults[i] = out.faults[plan.sim_as[i]];
+  for (std::size_t i = 0; i < n; ++i) {
+    if (sim_as[i] != i) out.faults[i] = out.faults[sim_as[i]];
     out.faults[i].fault = faults[i];
-    out.faults[i].cone_size = plan.cone_size[i];
+    out.faults[i].cone_size = cone_size[i];
   }
 
-  out.num_batches = static_cast<std::uint32_t>(plan.batches.size());
-  for (const auto& b : plan.batches)
-    out.simulated_faults += static_cast<std::uint32_t>(b.size());
+  out.simulated_faults = static_cast<std::uint32_t>(simulated.size());
+  out.num_batches = out.simulated_faults;
   out.frontier_evals = evals.load();
   out.early_exit_cycles = early.load();
-  evals_counter.add(out.frontier_evals);
-  early_counter.add(out.early_exit_cycles);
-  batches_counter.add(out.num_batches);
+  auto& reg = obs::registry();
+  reg.counter("fi.frontier_nodes").add(out.frontier_evals);
+  reg.counter("fi.early_exits").add(out.early_exit_cycles);
   out.fault_seconds = timer.seconds();
   return out;
 }
@@ -809,12 +601,10 @@ CampaignResult FaultCampaign::run_levelized(const std::vector<Fault>& faults) {
   out.num_nodes = num_nodes_;
   util::Timer timer;
   out.faults.resize(faults.size());
-  shard(config_.num_threads, static_cast<std::int64_t>(faults.size()),
-        [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i)
-            out.faults[static_cast<std::size_t>(i)] =
-                simulate_fault_levelized(faults[static_cast<std::size_t>(i)]);
-        });
+  pull_each(config_.num_threads, faults.size(), [&](const auto& next) {
+    for (std::size_t i; next(i);)
+      out.faults[i] = simulate_fault_levelized(faults[i]);
+  });
   out.fault_seconds = timer.seconds();
   return out;
 }
@@ -835,8 +625,6 @@ std::uint32_t FaultCampaign::static_cone_size(NodeId site) const {
 
 CampaignResult FaultCampaign::run(const std::vector<Fault>& faults) {
   if (!golden_ready_) run_golden();
-  // The fanout CSR cache must exist before worker threads race to read it.
-  if (num_nodes_ > 0) nl_->fanouts(0);
 
   // Static pruning: a fault whose site cannot reach any primary-output
   // driver can never corrupt an output, so it is not simulated.

@@ -10,34 +10,30 @@
 //     golden value. `use_cone_restriction=false` degenerates to the naive
 //     full-netlist sweep (benchmark baseline).
 //
-//   kFrontier — event-driven incremental resim: per cycle a worklist is
-//     seeded at the forced fault site and at flip-flops whose state
-//     diverged on the previous edge; only nodes with a divergent fanin
-//     word are re-evaluated, in ascending level order through the fanout
-//     CSR, and propagation stops the moment a node's word matches golden
-//     again (logic masking). A cycle whose seeds produce no divergence
-//     costs O(#faults) and is counted as an early exit. On top of this,
-//     `batch_faults` packs faults whose static cones are provably
-//     disjoint (exact per-node cone bitsets; structural
-//     collapse-equivalence classes share one simulation) into a single
-//     pass. A pass walks its members one after another, each with its own
-//     quiet-cycle early exit; the members share the pass's divergence
-//     schedule prepass, scratch state and shard work item, so batching
-//     changes the unit of work, not the node-evaluation count. Batches
-//     are sharded across the process thread pool.
+//   kFrontier — event-driven incremental resim, one pass per simulated
+//     fault: per cycle a worklist is seeded at the forced fault site and
+//     at flip-flops whose state diverged on the previous edge; only nodes
+//     with a divergent fanin word are re-evaluated, in ascending level
+//     order through the fanout CSR, and propagation stops the moment a
+//     node's word matches golden again (logic masking). A cycle whose
+//     seeds produce no divergence costs O(1) and is counted as an early
+//     exit. Structural collapse-equivalence classes share one simulation
+//     (`collapse_equivalent`).
+//
+// Both engines hand faults to worker lanes from one shared atomic cursor,
+// and every fault's result lands at its own index.
 //
 // Per cycle, primary outputs inside the cone are compared against the
 // golden trace, giving a per-lane mismatch mask; a lane whose
 // mismatch-cycle count reaches `min_mismatch_cycles` marks the fault
 // "Dangerous" for that workload — the verdict Algorithm 1 aggregates.
 // Both engines produce byte-identical FaultResults for every fault in the
-// stuck-at universe, at any thread count and under any batch partition
+// stuck-at universe, at any thread count and in any fault order
 // (tests/fault_batch_test.cpp and the `fcrit check` campaign oracle hold
 // this line).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/fault/fault.hpp"
@@ -75,25 +71,23 @@ struct CampaignConfig {
   /// kLevelized only: disable to benchmark the naive full sweep.
   bool use_cone_restriction = true;
 
-  /// kFrontier only: pack cone-disjoint faults into shared passes.
+  /// Unused: every frontier campaign runs one pass per simulated fault.
+  /// Kept only because the benchmark harness (fcritbench/) still assigns
+  /// it; delete it with the next benchmark change.
   bool batch_faults = true;
 
-  /// kFrontier+batch only: simulate one representative per structural
+  /// kFrontier only: simulate one representative per structural
   /// collapse-equivalence class (BUF/INV chain rule, src/fault/collapse)
   /// and share its verdict — exact, because equivalent faults corrupt the
   /// primary outputs identically; each member still reports its own
   /// cone_size.
   bool collapse_equivalent = true;
 
-  /// Upper bound on faults per batched pass (owner bookkeeping is O(k)
-  /// per cycle, so unbounded batches stop paying off).
-  int max_batch = 64;
-
-  /// Worker threads for the per-fault/per-batch loop (the golden trace is
-  /// shared read-only). -1 = inherit the process pool configured via
-  /// --jobs / FCRIT_THREADS (util::num_threads), 0 = hardware
-  /// concurrency, N >= 1 = exactly N. Results are bit-identical
-  /// regardless of thread count.
+  /// Worker lanes for the per-fault loop; each lane pulls the next fault
+  /// from one shared cursor (the golden trace is shared read-only). -1 =
+  /// inherit the process pool configured via --jobs / FCRIT_THREADS
+  /// (util::num_threads), 0 = hardware concurrency, N >= 1 = exactly N.
+  /// Results are bit-identical regardless of thread count.
   int num_threads = -1;
 
   /// Effective mismatch-cycle threshold implied by the fraction: the
@@ -128,34 +122,15 @@ struct CampaignResult {
 
   // Frontier-engine statistics (zero under kLevelized).
   std::uint32_t simulated_faults = 0;   // after collapse-equivalence sharing
-  std::uint32_t num_batches = 0;        // packed passes actually run
+  /// Equals simulated_faults (one pass per simulated fault); kept only
+  /// because the benchmark harness (fcritbench/) still reads it.
+  std::uint32_t num_batches = 0;
   std::uint64_t frontier_evals = 0;     // node re-evaluations across passes
   std::uint64_t early_exit_cycles = 0;  // fault-cycles skipped as quiescent
 
   // Static-pruning statistics (zero when static_prune is off).
   std::uint32_t pruned_faults = 0;  // dead-cone sites, never simulated
   double triage_seconds = 0.0;      // output-reachability pass time
-};
-
-/// How a fault list is grouped into shared frontier passes. Produced by
-/// FaultCampaign::plan_batches; indices refer to the input fault list.
-struct BatchPlan {
-  /// Each batch lists input indices of faults simulated together; their
-  /// static cones are pairwise disjoint (proven exactly by per-node cone
-  /// bitsets), so one pass carries per-fault owner attribution with no
-  /// cross-talk. Only representative faults appear in batches.
-  std::vector<std::vector<std::uint32_t>> batches;
-
-  /// Per input fault: the input index whose simulation supplies its
-  /// verdict (itself unless collapse-equivalence sharing mapped it onto a
-  /// representative also present in the list).
-  std::vector<std::uint32_t> sim_as;
-
-  /// Per input fault: exact static cone size (|transitive fanout| of the
-  /// site, flip-flop crossings included), regardless of sharing.
-  std::vector<std::uint32_t> cone_size;
-
-  std::size_t total_faults() const { return sim_as.size(); }
 };
 
 class FaultCampaign {
@@ -185,20 +160,6 @@ class FaultCampaign {
   /// Simulate a single fault against the recorded golden trace using the
   /// configured engine. Thread-safe once the golden trace is recorded.
   FaultResult simulate_fault(const Fault& fault) const;
-
-  /// Simulate a caller-chosen group of faults through the frontier engine
-  /// (planning cone-disjoint sub-batches internally; the group may
-  /// overlap arbitrarily). Results come back in input order and are
-  /// byte-identical to simulating each fault alone — the property
-  /// tests/fault_batch_test.cpp pins for every partition of the universe.
-  /// Thread-safe once the golden trace is recorded.
-  std::vector<FaultResult> simulate_batch(std::span<const Fault> faults) const;
-
-  /// Group `faults` into cone-disjoint batches (greedy first-fit over
-  /// exact cone bitsets in activity-classed pseudo-shuffled order,
-  /// honoring max_batch and, when enabled, collapse-equivalence
-  /// sharing). Deterministic for a given input.
-  BatchPlan plan_batches(std::span<const Fault> faults) const;
 
   /// Transient (SEU) injection: flip the node's value for exactly one
   /// cycle, then let the fault-free dynamics run on the corrupted state.
@@ -240,16 +201,18 @@ class FaultCampaign {
   };
 
   std::vector<netlist::NodeId> transitive_fanout(netlist::NodeId src) const;
-  /// The cone_size the configured engine would report for a fault at
-  /// `site` — used to fill results of statically pruned faults so the
-  /// campaign output is bit-identical with pruning on or off.
+  /// The cone_size the configured engine reports for a fault at `site`:
+  /// the frontier engine's results and statically pruned faults take it
+  /// from here, so the campaign output is bit-identical with pruning on
+  /// or off.
   std::uint32_t static_cone_size(netlist::NodeId site) const;
   void build_frontier_graph();
   FaultResult simulate_fault_levelized(const Fault& fault) const;
-  /// One packed frontier pass; `batch` cones must be pairwise disjoint
-  /// (guaranteed by plan_batches). Writes batch.size() results to `out`.
-  void run_frontier_pass(std::span<const Fault> batch, FrontierScratch& s,
-                         FaultResult* out) const;
+  /// One frontier pass over the whole campaign for `fault`, reusing the
+  /// worker's scratch. Leaves cone_size 0; callers fill it from
+  /// static_cone_size.
+  FaultResult simulate_fault_frontier(const Fault& fault,
+                                      FrontierScratch& s) const;
   CampaignResult run_frontier(const std::vector<Fault>& faults);
   CampaignResult run_levelized(const std::vector<Fault>& faults);
 

@@ -1,9 +1,8 @@
-// Property tests for the event-driven frontier engine and fault batching:
-// every way of grouping the stuck-at universe into batches — singletons,
-// one big group, random partitions, the planner's own cone-disjoint
-// packing, with or without collapse-equivalence sharing, at any thread
-// count — must produce FaultResults byte-identical to the original
-// levelized one-at-a-time simulation.
+// Property tests for the event-driven frontier engine: every way of
+// running the stuck-at universe — one fault at a time, one whole-universe
+// campaign, a shuffled fault list, with or without collapse-equivalence
+// sharing, at any thread count — must produce FaultResults byte-identical
+// to the original levelized one-at-a-time simulation.
 #include <algorithm>
 #include <random>
 #include <vector>
@@ -44,8 +43,7 @@ struct CounterCircuit {
 };
 
 /// Two independent XOR/AND islands fed by constants and inputs: disjoint
-/// cones (the planner should actually batch them) plus gates whose fanins
-/// are constant nodes.
+/// cones plus gates whose fanins are constant nodes.
 struct ConstIslandsCircuit {
   Netlist nl;
   ConstIslandsCircuit() {
@@ -101,74 +99,41 @@ CampaignConfig small_config() {
   return cfg;
 }
 
-class BatchPartitionTest : public ::testing::Test {
+class FrontierEquivalenceTest : public ::testing::Test {
  protected:
-  /// Check every partition scheme of `faults` on `nl` against the
-  /// levelized one-at-a-time reference.
+  /// Check single-fault simulation and one whole-universe campaign of
+  /// `nl` against the levelized one-at-a-time reference. Static pruning is
+  /// off, so dead-cone sites also take the reused-scratch frontier pass.
   void check_circuit(const Netlist& nl, CampaignConfig cfg) {
     const std::vector<Fault> faults = full_fault_list(nl);
     ASSERT_FALSE(faults.empty());
     const std::vector<FaultResult> ref = levelized_reference(nl, cfg, faults);
 
     cfg.engine = FiEngine::kFrontier;
+    cfg.static_prune = false;
     FaultCampaign camp(nl, default_spec(), cfg);
     camp.run_golden();
-
-    // Singletons.
     for (std::size_t i = 0; i < faults.size(); ++i)
       expect_same_result(camp.simulate_fault(faults[i]), ref[i], "single");
 
-    // One batch covering the whole (heavily overlapping) universe.
-    const auto whole = camp.simulate_batch(faults);
-    ASSERT_EQ(whole.size(), faults.size());
+    const CampaignResult whole = camp.run(faults);
+    ASSERT_EQ(whole.faults.size(), faults.size());
     for (std::size_t i = 0; i < faults.size(); ++i)
-      expect_same_result(whole[i], ref[i], "whole-universe");
-
-    // Random partitions (seeded): concatenation of per-part results must
-    // equal the reference regardless of how the universe is cut.
-    std::mt19937_64 rng(99);
-    for (int round = 0; round < 3; ++round) {
-      std::vector<std::size_t> order(faults.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::shuffle(order.begin(), order.end(), rng);
-      std::size_t pos = 0;
-      while (pos < order.size()) {
-        const std::size_t take = 1 + rng() % 7;
-        std::vector<Fault> part;
-        std::vector<std::size_t> part_idx;
-        for (std::size_t j = pos; j < std::min(pos + take, order.size()); ++j) {
-          part.push_back(faults[order[j]]);
-          part_idx.push_back(order[j]);
-        }
-        const auto got = camp.simulate_batch(part);
-        for (std::size_t j = 0; j < part.size(); ++j)
-          expect_same_result(got[j], ref[part_idx[j]], "random-partition");
-        pos += take;
-      }
-    }
+      expect_same_result(whole.faults[i], ref[i], "whole-universe");
   }
 };
 
-TEST_F(BatchPartitionTest, OverlappingConesOnCounter) {
+TEST_F(FrontierEquivalenceTest, OverlappingConesOnCounter) {
   CounterCircuit c;
   check_circuit(c.nl, small_config());
 }
 
-TEST_F(BatchPartitionTest, ConstantNodesAndDisjointIslands) {
+TEST_F(FrontierEquivalenceTest, ConstantNodesAndDisjointIslands) {
   ConstIslandsCircuit c;
   check_circuit(c.nl, small_config());
-  // The two islands really are cone-disjoint: the planner must pack at
-  // least one batch with more than one fault.
-  CampaignConfig cfg = small_config();
-  FaultCampaign camp(c.nl, default_spec(), cfg);
-  const std::vector<Fault> faults = full_fault_list(c.nl);
-  const BatchPlan plan = camp.plan_batches(faults);
-  std::size_t biggest = 0;
-  for (const auto& b : plan.batches) biggest = std::max(biggest, b.size());
-  EXPECT_GT(biggest, 1u);
 }
 
-TEST_F(BatchPartitionTest, RandomCircuits) {
+TEST_F(FrontierEquivalenceTest, RandomCircuits) {
   for (std::uint64_t seed : {3u, 17u}) {
     designs::RandomCircuitConfig rc;
     rc.num_gates = 80;
@@ -181,7 +146,7 @@ TEST_F(BatchPartitionTest, RandomCircuits) {
   }
 }
 
-TEST_F(BatchPartitionTest, CollapseSharingOffMatchesToo) {
+TEST_F(FrontierEquivalenceTest, CollapseSharingOffMatchesToo) {
   CounterCircuit c;
   CampaignConfig cfg = small_config();
   cfg.collapse_equivalent = false;
@@ -201,9 +166,10 @@ TEST(FaultBatch, DffOutputFaultsMatchReference) {
 
   CampaignConfig fcfg = cfg;
   fcfg.engine = FiEngine::kFrontier;
+  fcfg.static_prune = false;  // flop-ring sites must be simulated too
   FaultCampaign camp(c.nl, default_spec(), fcfg);
-  camp.run_golden();
-  const auto got = camp.simulate_batch(dff_faults);
+  const auto got = camp.run(dff_faults).faults;
+  ASSERT_EQ(got.size(), dff_faults.size());
   for (std::size_t i = 0; i < dff_faults.size(); ++i)
     expect_same_result(got[i], ref[i], "dff-output");
   // A stuck counter bit must actually corrupt the observed count.
@@ -212,40 +178,49 @@ TEST(FaultBatch, DffOutputFaultsMatchReference) {
   EXPECT_TRUE(any_detected);
 }
 
-TEST(FaultBatch, PlanCoversEveryFaultExactlyOnce) {
-  designs::RandomCircuitConfig rc;
-  rc.num_gates = 120;
-  rc.num_flops = 12;
-  rc.seed = 5;
-  const designs::Design d = designs::build_random_circuit(rc);
-  FaultCampaign camp(d.netlist, default_spec(), small_config());
-  const std::vector<Fault> faults = full_fault_list(d.netlist);
-  const BatchPlan plan = camp.plan_batches(faults);
+TEST(FaultBatch, ShuffledFaultListMatchesReference) {
+  // One worker reuses its scratch across the whole list, so in a shuffled
+  // order many faults sit on a flop inside an earlier fault's cone; a
+  // flop site must never capture its own divergent D input. Static pruning
+  // is off so every fault of the list takes that shared-scratch pass.
+  std::vector<Netlist> circuits;
+  circuits.push_back(CounterCircuit().nl);
+  for (std::uint64_t seed : {5u, 29u}) {
+    designs::RandomCircuitConfig rc;
+    rc.num_gates = 120;
+    rc.num_flops = 12;
+    rc.seed = seed;
+    circuits.push_back(designs::build_random_circuit(rc).netlist);
+  }
+  std::mt19937_64 rng(99);
+  for (const Netlist& nl : circuits) {
+    std::vector<Fault> faults = full_fault_list(nl);
+    std::shuffle(faults.begin(), faults.end(), rng);
+    const std::vector<FaultResult> ref =
+        levelized_reference(nl, small_config(), faults);
+    CampaignConfig cfg = small_config();
+    cfg.num_threads = 1;
+    cfg.static_prune = false;
+    FaultCampaign camp(nl, default_spec(), cfg);
+    const CampaignResult got = camp.run(faults);
+    ASSERT_EQ(got.faults.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      expect_same_result(got.faults[i], ref[i], "shuffled");
+  }
+}
 
-  ASSERT_EQ(plan.sim_as.size(), faults.size());
-  ASSERT_EQ(plan.cone_size.size(), faults.size());
-  // Batches contain exactly the self-simulated faults, each once.
-  std::vector<int> seen(faults.size(), 0);
-  for (const auto& b : plan.batches) {
-    EXPECT_FALSE(b.empty());
-    for (const std::uint32_t i : b) {
-      ASSERT_LT(i, faults.size());
-      EXPECT_EQ(plan.sim_as[i], i);
-      ++seen[i];
-    }
-  }
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(seen[i], plan.sim_as[i] == i ? 1 : 0) << "fault " << i;
-    // Sharing only maps onto a simulated representative.
-    EXPECT_EQ(plan.sim_as[plan.sim_as[i]], plan.sim_as[i]);
-    EXPECT_GT(plan.cone_size[i], 0u);
-  }
-  // Collapse-equivalence must actually merge some of this generator's
-  // BUF/INV chains (the CollapsedFaults ratio says so).
-  const CollapsedFaults collapsed = collapse_faults(d.netlist);
-  std::size_t simulated = 0;
-  for (const auto& b : plan.batches) simulated += b.size();
-  EXPECT_EQ(simulated, collapsed.representatives.size());
+TEST(FaultBatch, CollapseSharingSimulatesOneFaultPerClass) {
+  CounterCircuit c;
+  CampaignConfig cfg = small_config();
+  cfg.static_prune = false;
+  FaultCampaign camp(c.nl, default_spec(), cfg);
+  const CampaignResult r = camp.run_all();
+  // Collapse-equivalence must actually merge some of the style mapper's
+  // INV(NAND)/INV(NOR) pairs, and the campaign simulates exactly one
+  // fault per class.
+  const CollapsedFaults collapsed = collapse_faults(c.nl);
+  EXPECT_LT(collapsed.representatives.size(), r.faults.size());
+  EXPECT_EQ(r.simulated_faults, collapsed.representatives.size());
 }
 
 TEST(FaultBatch, ThreadCountSweepIsBitIdentical) {
@@ -266,11 +241,10 @@ TEST(FaultBatch, ThreadCountSweepIsBitIdentical) {
     const CampaignResult rn = run_with_threads(threads);
     ASSERT_EQ(rn.faults.size(), r1.faults.size());
     for (std::size_t i = 0; i < r1.faults.size(); ++i) {
-      // Bit-identical CampaignResult ordering and content per PR 4's
-      // determinism contract.
+      // Bit-identical CampaignResult ordering and content per the
+      // campaign determinism contract.
       expect_same_result(rn.faults[i], r1.faults[i], "thread-sweep");
     }
-    EXPECT_EQ(rn.num_batches, r1.num_batches);
     EXPECT_EQ(rn.simulated_faults, r1.simulated_faults);
     EXPECT_EQ(rn.frontier_evals, r1.frontier_evals);
     EXPECT_EQ(rn.early_exit_cycles, r1.early_exit_cycles);
@@ -296,27 +270,11 @@ TEST(FaultBatch, FrontierRunMatchesLevelizedRun) {
   ASSERT_EQ(lr.faults.size(), rr.faults.size());
   for (std::size_t i = 0; i < lr.faults.size(); ++i)
     expect_same_result(rr.faults[i], lr.faults[i], "engine-equivalence");
-  // The frontier run reports its batching statistics.
-  EXPECT_GT(rr.num_batches, 0u);
+  // The frontier run reports its statistics; the levelized one does not.
   EXPECT_GT(rr.simulated_faults, 0u);
   EXPECT_LE(rr.simulated_faults, rr.faults.size());
-  EXPECT_EQ(lr.num_batches, 0u);
-}
-
-TEST(FaultBatch, MaxBatchOneDegeneratesToUnbatched) {
-  CounterCircuit c;
-  CampaignConfig cfg = small_config();
-  cfg.max_batch = 1;
-  FaultCampaign camp(c.nl, default_spec(), cfg);
-  const CampaignResult r = camp.run_all();
-  EXPECT_EQ(r.num_batches, r.simulated_faults);
-
-  CampaignConfig ref_cfg = small_config();
-  FaultCampaign ref_camp(c.nl, default_spec(), ref_cfg);
-  const CampaignResult ref = ref_camp.run_all();
-  ASSERT_EQ(r.faults.size(), ref.faults.size());
-  for (std::size_t i = 0; i < r.faults.size(); ++i)
-    expect_same_result(r.faults[i], ref.faults[i], "max-batch-1");
+  EXPECT_GT(rr.frontier_evals, 0u);
+  EXPECT_EQ(lr.simulated_faults, 0u);
 }
 
 }  // namespace

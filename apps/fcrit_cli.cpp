@@ -27,6 +27,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -34,6 +36,7 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -204,6 +207,44 @@ int int_flag(const std::map<std::string, std::string>& flags,
                            "'");
 }
 
+/// An unsigned decimal flag such as --seed (`fallback` when absent); a
+/// sign, any other character or a value above 2^64-1 fails naming the flag
+/// instead of wrapping in std::stoull.
+std::uint64_t u64_flag(const std::map<std::string, std::string>& flags,
+                       const std::string& name, std::uint64_t fallback) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  const std::string& v = it->second;
+  std::uint64_t out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (!v.empty() && ec == std::errc() && end == v.data() + v.size())
+    return out;
+  throw std::runtime_error(name + " needs an unsigned decimal integer, got '" +
+                           v + "'");
+}
+
+/// A finite number flag in [lo, hi] (`fallback` when absent); anything
+/// else fails naming the flag and the range.
+double number_flag(const std::map<std::string, std::string>& flags,
+                   const std::string& name, double fallback, double lo,
+                   double hi = std::numeric_limits<double>::infinity()) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  const std::string& v = it->second;
+  double x = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (!v.empty() && ec == std::errc() && end == v.data() + v.size() &&
+      std::isfinite(x) && x >= lo && x <= hi)
+    return x;
+  char range[64];
+  if (std::isfinite(hi))
+    std::snprintf(range, sizeof range, "in [%g, %g]", lo, hi);
+  else
+    std::snprintf(range, sizeof range, ">= %g", lo);
+  throw std::runtime_error(name + " needs a finite number " + range +
+                           ", got '" + v + "'");
+}
+
 int cmd_list() {
   for (const auto& name : designs::design_names()) {
     const auto d = designs::build_design(name);
@@ -365,9 +406,9 @@ int cmd_campaign(const std::string& target,
   const auto d = load_target(target);
   cfg.dangerous_cycle_fraction = d.dangerous_cycle_fraction;
   cfg.cycles = int_flag(flags, "--cycles", cfg.cycles);
-  if (flags.contains("--seed")) cfg.seed = std::stoull(flags.at("--seed"));
-  if (flags.contains("--fraction"))
-    cfg.dangerous_cycle_fraction = std::stod(flags.at("--fraction"));
+  cfg.seed = u64_flag(flags, "--seed", cfg.seed);
+  cfg.dangerous_cycle_fraction =
+      number_flag(flags, "--fraction", cfg.dangerous_cycle_fraction, 0, 1);
   if (flags.contains("--engine")) {
     const std::string& engine = flags.at("--engine");
     if (engine == "levelized") cfg.engine = fault::FiEngine::kLevelized;
@@ -710,21 +751,33 @@ extern "C" void serve_signal_handler(int) {
 
 int cmd_serve(const std::string& bundle_dir,
               const std::map<std::string, std::string>& flags) {
+  // Every flag is parsed before the engine and server exist, so a bad
+  // value can never leave a daemon running.
   serve::EngineConfig ec;
   ec.threads = thread_flag(flags, ec.threads);
   ec.cache_capacity = static_cast<std::size_t>(
       int_flag(flags, "--cache", static_cast<int>(ec.cache_capacity)));
-  // Declared before the engine: EngineConfig holds a pointer into it, so
-  // it must outlive the workers that record spans.
-  obs::RequestTraceCollector traces(
-      static_cast<std::size_t>(int_flag(flags, "--trace-ring", 256)));
-  traces.set_enabled(!flags.contains("--no-trace"));
-  ec.traces = &traces;
-  serve::ScoringEngine engine(ec);
-
+  const int trace_ring = int_flag(flags, "--trace-ring", 256);
   serve::ServerConfig sc;
   sc.bundle_dir = bundle_dir;
-  sc.port = static_cast<std::uint16_t>(int_flag(flags, "--port", sc.port));
+  const int port = int_flag(flags, "--port", sc.port);
+  if (port > 65535)
+    throw std::runtime_error("--port needs a TCP port in [0, 65535], got '" +
+                             flags.at("--port") + "'");
+  sc.port = static_cast<std::uint16_t>(port);
+  // -1 (the flag absent) leaves slow-request mirroring off.
+  const double slow_ms = number_flag(flags, "--slow-ms", -1, 0);
+  // 0 keeps the exporter in manual mode (no background thread).
+  const double telemetry_interval =
+      number_flag(flags, "--telemetry-interval", 0, 0);
+
+  // Declared before the engine: EngineConfig holds a pointer into it, so
+  // it must outlive the workers that record spans.
+  obs::RequestTraceCollector traces(static_cast<std::size_t>(trace_ring));
+  traces.set_enabled(!flags.contains("--no-trace"));
+  traces.set_slow_ms(slow_ms);
+  ec.traces = &traces;
+  serve::ScoringEngine engine(ec);
   serve::Server server(engine, sc);
   // Opt-in observability (docs/OBSERVABILITY.md): the JSONL wide-event
   // access log, slow-request mirroring and the continuous telemetry
@@ -733,15 +786,13 @@ int cmd_serve(const std::string& bundle_dir,
       !traces.open_access_log(flags.at("--access-log")))
     throw std::runtime_error("cannot open access log " +
                              flags.at("--access-log"));
-  if (flags.contains("--slow-ms"))
-    traces.set_slow_ms(std::stod(flags.at("--slow-ms")));
   obs::TelemetryExporter exporter;
   exporter.add_registry("engine", engine.metrics_registry());
   if (flags.contains("--telemetry-interval")) {
     const std::string out = flags.contains("--telemetry-out")
                                 ? flags.at("--telemetry-out")
                                 : std::string("telemetry.jsonl");
-    if (!exporter.start(out, std::stod(flags.at("--telemetry-interval"))))
+    if (!exporter.start(out, telemetry_interval))
       throw std::runtime_error("cannot open telemetry output " + out);
     server.set_exporter(&exporter);
   }
@@ -782,7 +833,7 @@ int cmd_serve(const std::string& bundle_dir,
 int cmd_check(const std::map<std::string, std::string>& flags) {
   check::CheckConfig cfg;
   cfg.trials = int_flag(flags, "--trials", cfg.trials);
-  if (flags.contains("--seed")) cfg.seed = std::stoull(flags.at("--seed"));
+  cfg.seed = u64_flag(flags, "--seed", cfg.seed);
   cfg.cycles = int_flag(flags, "--cycles", cfg.cycles);
   cfg.gates = int_flag(flags, "--gates", cfg.gates);
   cfg.flops = int_flag(flags, "--flops", cfg.flops);

@@ -94,18 +94,16 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"dead-gate", Severity::kWarning,
        "gate with no fanout that drives no primary output"},
       {"dead-cone", Severity::kWarning,
-       "logic cone unreachable from every primary output, or provably "
-       "blocked by controlling constants (static dataflow)"},
+       "logic cone unreachable from every primary output"},
       {"input-unreachable", Severity::kWarning,
        "gate not influenced by any primary input"},
       {"dff-self-loop", Severity::kWarning,
        "flip-flop whose D input is its own output"},
       {"const-fold", Severity::kNote,
-       "gate or flop proved constant by static dataflow analysis, or with "
-       "constant fanins simplification would remove"},
+       "gate or flop proved constant by the ternary constant lattice, or "
+       "with constant fanins simplification would remove"},
       {"reset-cone", Severity::kNote,
-       "flip-flop never influenced by any reset-like input (proved via "
-       "the static divergence closure when the netlist is analyzable)"},
+       "flip-flop never influenced by any reset-like input"},
       {"graphir-consistency", Severity::kError,
        "graph IR disagrees with the netlist (nodes, edges, features, labels)"},
       {"split-leak", Severity::kError,

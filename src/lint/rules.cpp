@@ -6,15 +6,13 @@
 // would corrupt its CSR build — and instead derives its own adjacency,
 // skipping invalid edges.
 #include <algorithm>
-#include <array>
 #include <deque>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/lint/lattice.hpp"
 #include "src/lint/lint.hpp"
-#include "src/sla/dataflow.hpp"
 #include "src/util/text.hpp"
 
 namespace fcrit::lint {
@@ -198,27 +196,27 @@ void rule_comb_loop(const Netlist& nl,
   }
 }
 
-/// The structurally-valid-netlist gate for the sla-backed rules: the
-/// dataflow engine trusts fanin indices and requires an acyclic
-/// combinational graph, both of which other rules in this pass exist to
-/// diagnose. Returns nothing when the netlist is not analyzable.
-std::optional<sla::DataflowAnalysis> try_analyze(const Netlist& nl) {
+/// The structurally-valid-netlist gate for the constant lattice: it trusts
+/// fanin indices and requires an acyclic combinational graph, both of
+/// which other rules in this pass exist to diagnose. Returns no values
+/// when the netlist is not analyzable.
+std::vector<Ternary> try_analyze(const Netlist& nl) {
   const std::size_t n = nl.num_nodes();
   for (NodeId id = 0; id < n; ++id)
     for (const NodeId f : nl.fanins(id))
-      if (f >= n) return std::nullopt;
+      if (f >= n) return {};
   for (const auto& port : nl.outputs())
-    if (port.driver >= n) return std::nullopt;
+    if (port.driver >= n) return {};
   try {
-    return sla::DataflowAnalysis::run(nl);
+    return constant_values(nl);
   } catch (const std::exception&) {
-    return std::nullopt;  // combinational loop — reported by comb-loop
+    return {};  // combinational loop — reported by comb-loop
   }
 }
 
 void rule_dead_logic(const Netlist& nl,
                      const std::vector<std::vector<NodeId>>& fanout,
-                     const sla::DataflowAnalysis* df, LintReport& report) {
+                     LintReport& report) {
   const std::size_t n = nl.num_nodes();
   std::vector<char> drives_output(n, 0);
   for (const auto& port : nl.outputs())
@@ -241,52 +239,6 @@ void rule_dead_logic(const Netlist& nl,
           "remove the cone (fcrit sweep) or route it to an output"));
     }
   }
-  if (df == nullptr) return;
-
-  // Static-dataflow extension: a gate that does reach an output
-  // structurally, but whose every consumer is pinned by a controlling
-  // constant on its other fanins, is just as dead — its value can never
-  // move a single level. Same node-local blocking test as the divergence
-  // closure behind reset-cone (sla::divergence_closure).
-  std::array<sla::Ternary, netlist::kMaxFanins> ins{};
-  std::array<std::uint64_t, netlist::kMaxFanins> lits{};
-  for (NodeId id = 0; id < n; ++id) {
-    if (is_source(nl.kind(id)) || drives_output[id]) continue;
-    if (fanout[id].empty() || !reaches_output[id]) continue;  // reported above
-    bool all_blocked = true;
-    for (const NodeId c : fanout[id]) {
-      const netlist::Node& node = nl.node(c);
-      if (node.kind == CellKind::kDff || drives_output[c]) {
-        all_blocked = false;
-        break;
-      }
-      for (std::size_t i = 0; i < node.fanin_count; ++i) {
-        const NodeId f = node.fanin[i];
-        if (f == id) {
-          ins[i] = sla::Ternary::kX;
-          lits[i] = static_cast<std::uint64_t>(n + f) * 2;
-        } else {
-          ins[i] = df->value(f);
-          lits[i] = df->literal(f);
-        }
-      }
-      const sla::Ternary v = sla::eval_ternary_related(
-          node.kind, std::span<const sla::Ternary>(ins.data(), node.fanin_count),
-          std::span<const std::uint64_t>(lits.data(), node.fanin_count));
-      if (!sla::is_definite(v)) {
-        all_blocked = false;
-        break;
-      }
-    }
-    if (all_blocked) {
-      report.add(at_node(
-          nl, id, "dead-cone", Severity::kNote,
-          "every fanout of '" + nl.node(id).name +
-              "' is blocked by a controlling constant (static dataflow): "
-              "the gate's value is unobservable",
-          "remove it (fcrit sweep) or fix the blocking constant"));
-    }
-  }
 }
 
 void rule_input_unreachable(const Netlist& nl,
@@ -302,17 +254,17 @@ void rule_input_unreachable(const Netlist& nl,
   }
 }
 
-void rule_const_fold(const Netlist& nl, const sla::DataflowAnalysis* df,
+void rule_const_fold(const Netlist& nl, const std::vector<Ternary>& values,
                      LintReport& report) {
   const std::size_t n = nl.num_nodes();
   for (NodeId id = 0; id < n; ++id) {
     const CellKind kind = nl.kind(id);
     if (is_source(kind)) continue;
-    // Static dataflow first: the lattice proves constants the one-level
-    // structural scan below cannot see (constants through reconvergence,
-    // x AND !x, constant flops feeding back). At most one note per node.
-    if (df != nullptr && sla::is_definite(df->value(id))) {
-      const char v = sla::definite_value(df->value(id)) ? '1' : '0';
+    // The constant lattice first: it proves constants the one-level
+    // structural scan below cannot see (constants through several levels
+    // of logic, constant flops feeding back). At most one note per node.
+    if (!values.empty() && is_definite(values[id])) {
+      const char v = values[id] == Ternary::kOne ? '1' : '0';
       report.add(at_node(
           nl, id, "const-fold", Severity::kNote,
           std::string(kind == CellKind::kDff ? "flip-flop '" : "'") +
@@ -365,7 +317,7 @@ void rule_dff_self_loop(const Netlist& nl, LintReport& report) {
 
 void rule_reset_cone(const Netlist& nl,
                      const std::vector<std::vector<NodeId>>& fanout,
-                     const sla::DataflowAnalysis* df, LintReport& report) {
+                     LintReport& report) {
   std::vector<NodeId> resets;
   for (const NodeId in : nl.inputs()) {
     const std::string lower = util::to_lower(nl.node(in).name);
@@ -374,24 +326,6 @@ void rule_reset_cone(const Netlist& nl,
   }
   if (resets.empty()) return;  // no reset architecture to check
 
-  // With the dataflow engine available, use its divergence closure: a
-  // flop is influenced only when a reset toggle can actually propagate to
-  // it, i.e. no controlling constant pins every path shut. Structural
-  // forward reachability (the fallback) over-approximates that set, so
-  // the delegated rule only ever finds more unresettable flops.
-  if (df != nullptr) {
-    const std::vector<NodeId> closure = sla::divergence_closure(
-        nl, *df, std::span<const NodeId>(resets.data(), resets.size()));
-    for (const NodeId flop : nl.flops()) {
-      if (std::binary_search(closure.begin(), closure.end(), flop)) continue;
-      report.add(at_node(nl, flop, "reset-cone", Severity::kNote,
-                         "flip-flop '" + nl.node(flop).name +
-                             "' is provably never influenced by a reset "
-                             "input (static dataflow)",
-                         "verify the flop's power-up behaviour"));
-    }
-    return;
-  }
   const std::vector<char> influenced = reach_forward(fanout, resets);
   for (const NodeId flop : nl.flops()) {
     if (influenced[flop]) continue;
@@ -410,16 +344,14 @@ void lint_netlist(const Netlist& nl, LintReport& report) {
   rule_undriven_fanin(nl, report);
   rule_duplicate_name(nl, report);
   rule_comb_loop(nl, fanout, report);
-  // Static dataflow analysis (src/sla) backs the const-fold, dead-cone
-  // and reset-cone rules when the netlist is sound enough to analyze;
-  // each falls back to its one-level structural check otherwise.
-  const std::optional<sla::DataflowAnalysis> df = try_analyze(nl);
-  const sla::DataflowAnalysis* dfp = df.has_value() ? &*df : nullptr;
-  rule_dead_logic(nl, fanout, dfp, report);
+  rule_dead_logic(nl, fanout, report);
   rule_input_unreachable(nl, fanout, report);
-  rule_const_fold(nl, dfp, report);
+  // The constant lattice (lattice.hpp) backs const-fold when the netlist
+  // is sound enough to analyze; the rule falls back to its one-level
+  // structural check otherwise.
+  rule_const_fold(nl, try_analyze(nl), report);
   rule_dff_self_loop(nl, report);
-  rule_reset_cone(nl, fanout, dfp, report);
+  rule_reset_cone(nl, fanout, report);
 }
 
 LintReport lint_netlist(const Netlist& nl) {

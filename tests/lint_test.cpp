@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -342,6 +343,64 @@ TEST(LintDesigns, BuiltInDesignsHaveNoErrors) {
     const auto design = designs::build_design(name);
     const LintReport r = lint_netlist(design.netlist);
     EXPECT_EQ(r.errors(), 0u) << name << ":\n" << r.to_string();
+  }
+}
+
+TEST(LintDesigns, ShippedDesignFindingsArePinned) {
+  // Per design: findings per "severity[rule]", the warning and note
+  // totals (no design has an error), and how many const-fold notes the
+  // constant lattice proves beyond the one-level structural check.
+  struct Expected {
+    const char* design;
+    std::map<std::string, std::size_t> by_rule;
+    std::size_t warnings;
+    std::size_t notes;
+    std::size_t lattice_const;
+  };
+  const std::vector<Expected> expected = {
+      {"ee_zonal",
+       {{"note[const-fold]", 124},
+        {"note[reset-cone]", 80},
+        {"warning[dead-cone]", 9},
+        {"warning[dead-gate]", 17},
+        {"warning[input-unreachable]", 67}},
+       93, 204, 4},
+      {"or1200_genpc",
+       {{"note[const-fold]", 124},
+        {"warning[dead-cone]", 3},
+        {"warning[dead-gate]", 5}},
+       8, 124, 81},
+      {"sdram_ctrl",
+       {{"note[const-fold]", 25},
+        {"warning[dead-cone]", 4},
+        {"warning[dead-gate]", 5}},
+       9, 25, 0},
+      {"or1200_if",
+       {{"note[const-fold]", 94}, {"warning[dead-gate]", 1}},
+       1, 94, 0},
+      {"or1200_icfsm",
+       {{"note[const-fold]", 9},
+        {"warning[dead-cone]", 4},
+        {"warning[dead-gate]", 8}},
+       12, 9, 0},
+  };
+  ASSERT_EQ(expected.size(), designs::all_design_names().size());
+  for (const Expected& e : expected) {
+    const LintReport r = lint_netlist(designs::build_design(e.design).netlist);
+    std::map<std::string, std::size_t> by_rule;
+    std::size_t lattice_const = 0;
+    for (const Diagnostic& d : r.diagnostics) {
+      ++by_rule[std::string(to_string(d.severity)) + "[" + d.rule_id + "]"];
+      if (d.rule_id == "const-fold" &&
+          d.message.find("provably holds constant") != std::string::npos)
+        ++lattice_const;
+    }
+    EXPECT_EQ(by_rule, e.by_rule) << e.design;
+    EXPECT_EQ(r.errors(), 0u) << e.design;
+    EXPECT_EQ(r.warnings(), e.warnings) << e.design;
+    EXPECT_EQ(r.notes(), e.notes) << e.design;
+    EXPECT_EQ(r.diagnostics.size(), e.warnings + e.notes) << e.design;
+    EXPECT_EQ(lattice_const, e.lattice_const) << e.design;
   }
 }
 

@@ -90,8 +90,7 @@ constexpr const char* kUsageText =
     "  sweep <file> [-o FILE]            remove dead logic\n"
     "  campaign <design|file> [--cycles N] [--seed S]\n"
     "           [--fraction F] [--threads T] [--report FILE]\n"
-    "           [--engine levelized|frontier] [--no-collapse]\n"
-    "           [--no-static-prune]\n"
+    "           [--no-collapse] [--no-static-prune]\n"
     "  analyze <design|file> [--top N] [--no-baselines]\n"
     "           [--explain K] [--save-model FILE] [--csv FILE]\n"
     "           [--cycles N] [--epochs N] [--trace-out FILE]\n"
@@ -106,7 +105,8 @@ constexpr const char* kUsageText =
     "  harden <design|file> [--top K] [-o FILE]\n"
     "                                    TMR the predicted top-K\n"
     "  pack <design|file> [-o FILE.fcm] [--cycles N] [--prob-cycles N]\n"
-    "           [--epochs N]             train + package a model bundle\n"
+    "           [--epochs N] [--no-static-prune]\n"
+    "                                    train + package a model bundle\n"
     "  score <bundle.fcm> <design|file|@list> [--top N] [--strict]\n"
     "           [--threads T]            inference only, no FI campaign\n"
     "  serve <bundle-dir> [--port P] [--threads T] [--cache N]\n"
@@ -123,6 +123,7 @@ constexpr const char* kUsageText =
     "                                    differential-oracle fuzzing harness\n"
     "  help | --help                     this text\n"
     "  version                           print the fcrit version\n"
+    "every command fails on a flag it does not take\n"
     "global flags (before or after the command):\n"
     "              --verbose | --quiet   log level (also FCRIT_LOG=\n"
     "                                    error|warn|info|debug|trace)\n"
@@ -158,13 +159,55 @@ designs::Design load_target(const std::string& arg) {
   return d;
 }
 
+/// The flags each verb reads (the global flags are taken out before
+/// dispatch). Any other `-x`/`--x` fails naming it, so a typo never runs
+/// silently with the default.
+const std::map<std::string, std::vector<std::string>> kVerbFlags = [] {
+  const std::vector<std::string> serve = {
+      "--port", "--threads", "--cache", "--access-log", "--slow-ms",
+      "--telemetry-interval", "--telemetry-out", "--trace-ring", "--no-trace"};
+  const std::vector<std::string> analyze = {
+      "--top", "--no-baselines", "--explain", "--save-model", "--csv",
+      "--cycles", "--epochs", "--trace-out", "--no-static-prune"};
+  return std::map<std::string, std::vector<std::string>>{
+      {"list", {}},
+      {"lint", {"--json", "--fail-on"}},
+      {"stats", {}},
+      {"export", {"--format", "-o"}},
+      {"sweep", {"-o"}},
+      {"campaign",
+       {"--cycles", "--seed", "--fraction", "--threads", "--report",
+        "--no-collapse", "--no-static-prune"}},
+      {"analyze", analyze},
+      {"pipeline", analyze},
+      {"scoap", {"--top"}},
+      {"wave", {"--cycles", "--lane", "-o"}},
+      {"autopsy", {"--node", "--sa", "--cycles"}},
+      {"harden", {"--top", "-o"}},
+      {"pack",
+       {"-o", "--cycles", "--prob-cycles", "--epochs", "--no-static-prune"}},
+      {"score", {"--top", "--strict", "--threads"}},
+      {"serve", serve},
+      {"fleet", serve},
+      {"check",
+       {"--trials", "--seed", "--cycles", "--gates", "--flops", "--inputs",
+        "--outputs", "--faults", "--serve-every", "--campaign-every",
+        "--prune-every", "--no-shrink", "--no-dump", "--self-test"}},
+  };
+}();
+
 std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int start) {
+                                               int start,
+                                               const std::string& verb) {
+  const std::vector<std::string>& known = kVerbFlags.at(verb);
   std::map<std::string, std::string> flags;
   for (int i = start; i < argc; ++i) {
     std::string arg = argv[i];
     if (!util::starts_with(arg, "--") && arg[0] != '-') continue;
     std::string key = arg;
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      throw std::runtime_error(verb + " does not take " + key +
+                               " (see fcrit help)");
     std::string value = "1";
     // A value never starts with '-' unless it is a negative number, so a
     // negative count reaches the flag's own check instead of becoming a
@@ -394,13 +437,6 @@ int cmd_sweep(const std::string& target,
 
 int cmd_campaign(const std::string& target,
                  const std::map<std::string, std::string>& flags) {
-  // Batch planning is gone (one frontier pass per fault): its flags are
-  // refused, not silently ignored.
-  for (const char* removed : {"--no-batch", "--max-batch"})
-    if (flags.contains(removed))
-      throw std::runtime_error(std::string(removed) +
-                               " was removed: the frontier engine runs "
-                               "one pass per fault");
   fault::CampaignConfig cfg;
   cfg.num_threads = thread_flag(flags, cfg.num_threads);
   const auto d = load_target(target);
@@ -409,12 +445,6 @@ int cmd_campaign(const std::string& target,
   cfg.seed = u64_flag(flags, "--seed", cfg.seed);
   cfg.dangerous_cycle_fraction =
       number_flag(flags, "--fraction", cfg.dangerous_cycle_fraction, 0, 1);
-  if (flags.contains("--engine")) {
-    const std::string& engine = flags.at("--engine");
-    if (engine == "levelized") cfg.engine = fault::FiEngine::kLevelized;
-    else if (engine == "frontier") cfg.engine = fault::FiEngine::kFrontier;
-    else throw std::runtime_error("--engine takes levelized|frontier");
-  }
   if (flags.contains("--no-collapse")) cfg.collapse_equivalent = false;
   if (flags.contains("--no-static-prune")) cfg.static_prune = false;
 
@@ -928,18 +958,23 @@ int main(int argc, char** argv) {
     std::printf("fcrit %s\n", kVersion);
     return 0;
   }
+  if (!kVerbFlags.contains(command)) return usage();
   try {
-    if (command == "list") return cmd_list();
-    // check has no positional target, only flags.
-    if (command == "check") return cmd_check(parse_flags(argc, argv, 2));
+    // list and check have no positional target, only flags.
+    if (command == "list") {
+      parse_flags(argc, argv, 2, command);
+      return cmd_list();
+    }
+    if (command == "check")
+      return cmd_check(parse_flags(argc, argv, 2, command));
     if (argc < 3) return usage();
     const std::string target = argv[2];
     if (command == "score") {
       // score takes two positionals: <bundle> <target>, then flags.
       if (argc < 4 || argv[3][0] == '-') return usage();
-      return cmd_score(target, argv[3], parse_flags(argc, argv, 4));
+      return cmd_score(target, argv[3], parse_flags(argc, argv, 4, command));
     }
-    const auto flags = parse_flags(argc, argv, 3);
+    const auto flags = parse_flags(argc, argv, 3, command);
     if (command == "lint") return cmd_lint(target, flags);
     if (command == "stats") return cmd_stats(target);
     if (command == "export") return cmd_export(target, flags);
@@ -952,17 +987,9 @@ int main(int argc, char** argv) {
     if (command == "autopsy") return cmd_autopsy(target, flags);
     if (command == "harden") return cmd_harden(target, flags);
     if (command == "pack") return cmd_pack(target, flags);
-    if (command == "serve") return cmd_serve(target, flags);
-    if (command == "fleet") {
-      // The old name of the sharded tier, now one daemon: the flags only
-      // that tier had are refused, not silently ignored.
-      for (const char* removed : {"--shards", "--batch", "--high-water"})
-        if (flags.contains(removed))
-          throw std::runtime_error(std::string(removed) +
-                                   " was removed with the sharded tier; "
-                                   "fleet now runs serve");
+    // fleet is the old name of the sharded tier, now one daemon.
+    if (command == "serve" || command == "fleet")
       return cmd_serve(target, flags);
-    }
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fcrit: %s\n", e.what());

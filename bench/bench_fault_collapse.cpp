@@ -23,10 +23,10 @@ int main() {
     cfg.seed = 7;
     cfg.dangerous_cycle_fraction = d.dangerous_cycle_fraction;
     // This bench measures the explicit collapse_faults/expand_collapsed
-    // transformation, so pin the levelized engine: the default frontier
-    // engine shares collapse-equivalent verdicts internally, which would
-    // hide exactly the reduction being measured here.
-    cfg.engine = fault::FiEngine::kLevelized;
+    // transformation, so turn off the campaign's internal sharing of
+    // collapse-equivalent verdicts, which would hide exactly the reduction
+    // being measured here.
+    cfg.collapse_equivalent = false;
 
     util::Timer t_full;
     fault::FaultCampaign full_campaign(d.netlist, d.stimulus, cfg);

@@ -1,9 +1,7 @@
 // Fault-campaign engine trajectory + Section 1 resource-savings claim.
 //
-// Primary output: BENCH_fi.json, the machine-readable speedup trajectory
-// of the campaign hot path on every built-in design —
-//   cone@1t      levelized sweep restricted to the fault's static cone
-//                (the pre-frontier production method, baseline)
+// Primary output: BENCH_fi.json, the machine-readable timing trajectory of
+// the campaign hot path on every built-in design —
 //   frontier-nocollapse@1t  event-driven divergence-frontier resim, one
 //                pass per fault, collapse-equivalence sharing off
 //   frontier@{1,2,4}t  the production engine: frontier + collapse sharing
@@ -12,19 +10,16 @@
 // disabled vs enabled, recording the prune rate and both end-to-end wall
 // times (the prune-on time includes the reachability pass itself). See
 // docs/STATIC_ANALYSIS.md.
-// Every leg is verified to produce verdicts bit-identical to the cone
-// leg before its timing is recorded (the `fcrit check` campaign oracle
-// proves the same equivalence on fuzzed circuits, and `diff_static_prune`
-// the prune A/B).
+// Every leg is verified to produce verdicts bit-identical to the
+// frontier-nocollapse leg before its timing is recorded (the `fcrit check`
+// oracles prove the engine against the cone-sweep reference on fuzzed
+// circuits, and `diff_static_prune` the prune A/B).
 //
 // Secondary output (full mode only): the paper's Section 1 pitch — run FI
 // on a subset, train the GCN, predict the rest — quantified per design.
 //
 // --quick: trajectory only, largest design only, shorter campaign; the CI
-// artifact step runs this mode. Full levelized re-simulation without cone
-// restriction is not timed: docs/PERFORMANCE.md keeps its last figure as
-// the historical baseline, and the `fcrit check` fault oracle guards its
-// verdict equality with the cone leg.
+// artifact step runs this mode.
 #include <cstring>
 
 #include "bench/bench_common.hpp"
@@ -88,10 +83,10 @@ int main(int argc, char** argv) {
     targets = {std::move(targets[best])};
   }
 
-  core::TextTable table({"Design", "Nodes", "Faults", "cone@1t (s)",
+  core::TextTable table({"Design", "Nodes", "Faults",
                          "frontier-nocollapse@1t (s)", "frontier@1t (s)",
                          "frontier@2t (s)", "frontier@4t (s)",
-                         "frontier@1t vs cone", "early-exit %"});
+                         "early-exit %"});
   core::TextTable prune_table({"Design", "Faults", "Pruned", "Prune %",
                                "triage (ms)", "prune-off (s)", "prune-on (s)",
                                "off vs on"});
@@ -103,18 +98,15 @@ int main(int argc, char** argv) {
     base.seed = 7;
     base.num_threads = 1;
 
-    // The cone leg comes first: every other leg is checked against it.
+    // The no-collapse leg comes first: every other leg is checked against
+    // it.
     std::vector<Leg> legs;
     {
-      Leg cone{"cone@1t", base};
-      cone.config.engine = fault::FiEngine::kLevelized;
       Leg nocollapse{"frontier-nocollapse@1t", base};
-      nocollapse.config.engine = fault::FiEngine::kFrontier;
       nocollapse.config.collapse_equivalent = false;
-      legs = {cone, nocollapse};
+      legs = {nocollapse};
       for (const int threads : {1, 2, 4}) {
         Leg frontier{"frontier@" + std::to_string(threads) + "t", base};
-        frontier.config.engine = fault::FiEngine::kFrontier;
         frontier.config.num_threads = threads;
         legs.push_back(frontier);
       }
@@ -134,13 +126,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 1; i < results.size(); ++i) {
       if (!same_verdicts(results[0], results[i])) {
         std::fprintf(stderr,
-                     "bench_fi_speedup: %s leg '%s' diverged from cone!\n",
+                     "bench_fi_speedup: %s leg '%s' diverged from "
+                     "frontier-nocollapse@1t!\n",
                      design.name.c_str(), legs[i].label.c_str());
         all_identical = false;
       }
     }
 
-    const auto& frontier = results[2];  // frontier@1t
+    const auto& frontier = results[1];  // frontier@1t
     const double total_cycles =
         static_cast<double>(frontier.simulated_faults) * cycles;
     std::vector<std::string> row{design.name,
@@ -148,8 +141,6 @@ int main(int argc, char** argv) {
                                  std::to_string(frontier.faults.size())};
     for (std::size_t i = 0; i < seconds.size(); ++i)
       row.push_back(util::format_double(seconds[i], 3));
-    const double speedup = seconds[2] > 0 ? seconds[0] / seconds[2] : 0.0;
-    row.push_back(util::format_double(speedup, 1) + "x");
     row.push_back(util::format_double(
         total_cycles > 0 ? 100.0 *
                                static_cast<double>(frontier.early_exit_cycles) /
@@ -157,10 +148,6 @@ int main(int argc, char** argv) {
                          : 0.0,
         1));
     table.add_row(row);
-    // The acceptance ratio at equal threads, machine-readable: cone@1t
-    // wall / frontier@1t wall (a pure number recorded alongside the timing
-    // phases).
-    rec.phase(design.name + "/speedup_frontier1t_vs_cone", speedup);
 
     // Static-prune A/B on the production engine (frontier@1t): the
     // identical campaign with static pruning off vs on. The prune-on wall
@@ -168,7 +155,6 @@ int main(int argc, char** argv) {
     // comparison; verdicts must stay bit-identical either way.
     {
       fault::CampaignConfig on = base;
-      on.engine = fault::FiEngine::kFrontier;
       on.static_prune = true;
       fault::CampaignConfig off = on;
       off.static_prune = false;

@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the substrates: packed logic
-// simulation throughput, fault simulation per fault (cone vs. naive),
+// simulation throughput, frontier fault simulation per fault,
 // sparse matmul, GCN forward/training epoch, and graph construction.
 #include <benchmark/benchmark.h>
 
@@ -46,10 +46,8 @@ BENCHMARK(BM_PackedSimCycle)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_FaultSimPerFault(benchmark::State& state) {
   const auto& d = design_by_index(static_cast<int>(state.range(0)));
-  const bool cone = state.range(1) != 0;
   fault::CampaignConfig cfg;
   cfg.cycles = 128;
-  cfg.use_cone_restriction = cone;
   fault::FaultCampaign campaign(d.netlist, d.stimulus, cfg);
   campaign.run_golden();
   const auto faults = fault::full_fault_list(d.netlist);
@@ -58,15 +56,9 @@ void BM_FaultSimPerFault(benchmark::State& state) {
     benchmark::DoNotOptimize(campaign.simulate_fault(faults[next]));
     next = (next + 7) % faults.size();
   }
-  state.SetLabel(d.name + (cone ? " cone" : " naive"));
+  state.SetLabel(d.name);
 }
-BENCHMARK(BM_FaultSimPerFault)
-    ->Args({0, 1})
-    ->Args({0, 0})
-    ->Args({1, 1})
-    ->Args({1, 0})
-    ->Args({2, 1})
-    ->Args({2, 0});
+BENCHMARK(BM_FaultSimPerFault)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_GraphBuild(benchmark::State& state) {
   const auto& d = design_by_index(static_cast<int>(state.range(0)));

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/check/cone_sweep.hpp"
 #include "src/fault/fault.hpp"
 #include "src/graphir/features.hpp"
 #include "src/graphir/graph.hpp"
@@ -125,12 +126,14 @@ fault::FaultResult injected_fault_result(const designs::Design& design,
   return r;
 }
 
+/// Compare every verdict field of two results for `f`, and their
+/// cone_size unless `b` is a full re-simulation, which has no cone.
 std::string compare_fault_results(const netlist::Netlist& nl,
                                   const fault::Fault& f,
                                   const fault::FaultResult& a,
                                   const fault::FaultResult& b,
                                   const char* a_name, const char* b_name,
-                                  const char* oracle = "fault-oracle") {
+                                  const char* oracle, bool with_cone = true) {
   std::ostringstream os;
   os << std::hex;
   if (a.dangerous_lanes != b.dangerous_lanes)
@@ -146,6 +149,9 @@ std::string compare_fault_results(const netlist::Netlist& nl,
   if (a.first_detect_cycle != b.first_detect_cycle)
     os << "first_detect_cycle " << a_name << "=" << a.first_detect_cycle
        << " " << b_name << "=" << b.first_detect_cycle << "; ";
+  if (with_cone && a.cone_size != b.cone_size)
+    os << "cone_size " << a_name << "=" << a.cone_size << " " << b_name
+       << "=" << b.cone_size << "; ";
   std::string detail = os.str();
   if (detail.empty()) return {};
   return std::string(oracle) + ": " + fault_name(nl, f) + ": " + detail;
@@ -157,16 +163,9 @@ std::string diff_fault_oracles(const designs::Design& design,
                                const fault::CampaignConfig& config,
                                int max_faults) {
   const netlist::Netlist& nl = design.netlist;
-
-  fault::CampaignConfig cone_cfg = config;
-  cone_cfg.use_cone_restriction = true;
-  fault::CampaignConfig naive_cfg = config;
-  naive_cfg.use_cone_restriction = false;
-
-  fault::FaultCampaign cone(nl, design.stimulus, cone_cfg);
-  fault::FaultCampaign naive(nl, design.stimulus, naive_cfg);
-  cone.run_golden();
-  naive.run_golden();
+  fault::FaultCampaign campaign(nl, design.stimulus, config);
+  campaign.run_golden();
+  const netlist::Levelization lev = netlist::levelize(nl);
 
   const auto universe = fault::full_fault_list(nl);
   if (universe.empty()) return {};
@@ -176,21 +175,39 @@ std::string diff_fault_oracles(const designs::Design& design,
                 1, universe.size() / static_cast<std::size_t>(max_faults))
           : 1;
 
+  NodeId last_site = netlist::kNoNode;
   for (std::size_t i = 0; i < universe.size(); i += stride) {
     const fault::Fault& f = universe[i];
-    const fault::FaultResult rc = cone.simulate_fault(f);
-    const fault::FaultResult rn = naive.simulate_fault(f);
+    const fault::FaultResult rf = campaign.simulate_fault(f);
+    const fault::FaultResult rs = cone_sweep(campaign, lev, f);
     const fault::FaultResult ri =
-        injected_fault_result(design, config, cone, f);
-    if (auto msg = compare_fault_results(nl, f, rc, rn, "cone", "naive");
+        injected_fault_result(design, config, campaign, f);
+    if (auto msg = compare_fault_results(nl, f, rf, rs, "frontier", "sweep",
+                                         "fault-oracle");
         !msg.empty())
       return msg;
-    if (auto msg = compare_fault_results(nl, f, rc, ri, "cone", "injected");
+    if (auto msg = compare_fault_results(nl, f, rs, ri, "sweep", "injected",
+                                         "fault-oracle", false);
         !msg.empty())
       return msg;
-    if (rc.cone_size > rn.cone_size)
-      return "fault-oracle: " + fault_name(nl, f) +
-             ": cone_size exceeds naive re-simulation size";
+
+    // The same site as an SEU, flipped at the first, middle and last cycle.
+    if (f.node == last_site) continue;
+    last_site = f.node;
+    for (const int cycle : {0, config.cycles / 2, config.cycles - 1}) {
+      const auto rt = campaign.simulate_transient(f.node, cycle);
+      const fault::FaultResult ref = cone_sweep(campaign, lev, f, cycle);
+      if (rt.affected_lanes != ref.detected_lanes ||
+          rt.mismatch_cycles != ref.mismatch_cycles) {
+        std::ostringstream os;
+        os << "fault-oracle: " << nl.node(f.node).name << " flipped at cycle "
+           << cycle << ": affected_lanes frontier=" << std::hex
+           << rt.affected_lanes << " sweep=" << ref.detected_lanes << std::dec
+           << " mismatch_cycles frontier=" << rt.mismatch_cycles
+           << " sweep=" << ref.mismatch_cycles;
+        return os.str();
+      }
+    }
   }
   return {};
 }
@@ -200,15 +217,16 @@ std::string diff_campaign_equivalence(const designs::Design& design,
                                       int max_faults, CampaignBug bug) {
   const netlist::Netlist& nl = design.netlist;
 
-  // Reference leg: the levelized cone sweep, single-threaded. Its campaign
-  // object doubles as the golden-trace holder for the injected replay.
-  fault::CampaignConfig ref_cfg = config;
-  ref_cfg.engine = fault::FiEngine::kLevelized;
-  ref_cfg.use_cone_restriction = true;
-  ref_cfg.num_threads = 1;
-  fault::FaultCampaign ref_campaign(nl, design.stimulus, ref_cfg);
-  const fault::CampaignResult ref = ref_campaign.run_all();
-  if (ref.faults.empty()) return {};
+  // Reference: the cone sweep, one fault at a time over the whole
+  // universe. Its campaign object holds the golden trace for the sweep
+  // and for the injected replay.
+  fault::FaultCampaign golden(nl, design.stimulus, config);
+  golden.run_golden();
+  const netlist::Levelization lev = netlist::levelize(nl);
+  std::vector<fault::FaultResult> ref;
+  for (const fault::Fault& f : fault::full_fault_list(nl))
+    ref.push_back(cone_sweep(golden, lev, f));
+  if (ref.empty()) return {};
 
   struct Leg {
     std::string name;
@@ -217,13 +235,11 @@ std::string diff_campaign_equivalence(const designs::Design& design,
   std::vector<Leg> legs;
   {
     fault::CampaignConfig fc = config;
-    fc.engine = fault::FiEngine::kFrontier;
     fc.collapse_equivalent = false;
     fc.num_threads = 1;
     legs.push_back({"frontier", fc});
     for (const int threads : {1, 2, 4}) {
       fault::CampaignConfig cc = config;
-      cc.engine = fault::FiEngine::kFrontier;
       cc.collapse_equivalent = true;
       cc.num_threads = threads;
       legs.push_back(
@@ -250,19 +266,19 @@ std::string diff_campaign_equivalence(const designs::Design& design,
       }
     }
 
-    if (r.faults.size() != ref.faults.size())
+    if (r.faults.size() != ref.size())
       return "campaign-oracle: leg '" + leg.name + "' returned " +
              std::to_string(r.faults.size()) + " verdicts, reference " +
-             std::to_string(ref.faults.size());
-    for (std::size_t i = 0; i < ref.faults.size(); ++i) {
-      const fault::FaultResult& a = ref.faults[i];
+             std::to_string(ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const fault::FaultResult& a = ref[i];
       const fault::FaultResult& b = r.faults[i];
       if (a.fault.node != b.fault.node ||
           a.fault.stuck_value != b.fault.stuck_value)
         return "campaign-oracle: leg '" + leg.name +
                "' reordered the fault universe at index " +
                std::to_string(i);
-      if (auto msg = compare_fault_results(nl, a.fault, a, b, "cone",
+      if (auto msg = compare_fault_results(nl, a.fault, a, b, "sweep",
                                            leg.name.c_str(),
                                            "campaign-oracle");
           !msg.empty())
@@ -275,14 +291,14 @@ std::string diff_campaign_equivalence(const designs::Design& design,
   const std::size_t stride =
       max_faults > 0
           ? std::max<std::size_t>(
-                1, ref.faults.size() / static_cast<std::size_t>(max_faults))
+                1, ref.size() / static_cast<std::size_t>(max_faults))
           : 1;
-  for (std::size_t i = 0; i < ref.faults.size(); i += stride) {
-    const fault::FaultResult& a = ref.faults[i];
+  for (std::size_t i = 0; i < ref.size(); i += stride) {
+    const fault::FaultResult& a = ref[i];
     const fault::FaultResult ri =
-        injected_fault_result(design, ref_cfg, ref_campaign, a.fault);
-    if (auto msg = compare_fault_results(nl, a.fault, a, ri, "cone",
-                                         "injected", "campaign-oracle");
+        injected_fault_result(design, config, golden, a.fault);
+    if (auto msg = compare_fault_results(nl, a.fault, a, ri, "sweep",
+                                         "injected", "campaign-oracle", false);
         !msg.empty())
       return msg;
   }
@@ -381,10 +397,6 @@ std::string diff_static_prune(const designs::Design& design,
                                          "static-prune-oracle");
         !msg.empty())
       return msg;
-    if (a.cone_size != b.cone_size)
-      return "static-prune-oracle: " + fault_name(nl, a.fault) +
-             ": cone_size sim=" + std::to_string(a.cone_size) +
-             " pruned=" + std::to_string(b.cone_size);
   }
 
   // 2. Structural: a forward BFS over the fanout edges from every pruned

@@ -8,17 +8,19 @@
 //   diff_packed_vs_scalar     PackedSimulator lane L  vs  a scalar
 //                             single-pattern interpreter run per lane,
 //                             every node value, every cycle
-//   diff_fault_oracles        cone-restricted simulate_fault  vs  naive
-//                             full-netlist re-simulation
-//                             (use_cone_restriction=false)  vs  serial
-//                             fault injection through
-//                             PackedSimulator::inject
+//   diff_fault_oracles        frontier simulate_fault  vs  the
+//                             cone-sweep reference (cone_size included)
+//                             vs  serial fault injection through
+//                             PackedSimulator::inject; plus
+//                             simulate_transient  vs  the sweep's flip
+//                             mode at each sampled site
 //   diff_campaign_equivalence frontier+collapse campaign (1/2/4
 //                             threads)  vs  frontier without collapse
-//                             sharing  vs  levelized cone
-//                             reference, whole-universe run_all verdicts,
-//                             plus serial PackedSimulator::inject replay
-//                             on a strided fault subset
+//                             sharing  vs  the cone-sweep reference,
+//                             whole-universe run_all verdicts and
+//                             cone sizes, plus serial
+//                             PackedSimulator::inject replay on a
+//                             strided fault subset
 //   diff_static_prune         static fault pruning: campaign with
 //                             pruning on vs off bit-identical, every
 //                             pruned fault re-simulated (must be Benign)
@@ -50,10 +52,13 @@ std::string diff_packed_vs_scalar(const designs::Design& design, int cycles,
                                   ScalarBug bug = ScalarBug::kNone);
 
 /// For up to `max_faults` faults (deterministically strided across the full
-/// stuck-at universe), compare the cone-restricted campaign verdict against
-/// the naive full re-simulation and against serial re-simulation with
-/// PackedSimulator::inject: dangerous_lanes, detected_lanes,
-/// mismatch_cycles and first_detect_cycle must all agree exactly.
+/// stuck-at universe), compare the campaign's frontier verdict against the
+/// cone-sweep reference (src/check/cone_sweep.hpp) and that against serial
+/// re-simulation with PackedSimulator::inject: dangerous_lanes,
+/// detected_lanes, mismatch_cycles and first_detect_cycle must all agree
+/// exactly, and cone_size between frontier and sweep. Each sampled site is
+/// also flipped at cycles 0, cycles/2 and cycles-1, and simulate_transient
+/// must match the sweep's flip mode (affected lanes, mismatch cycles).
 std::string diff_fault_oracles(const designs::Design& design,
                                const fault::CampaignConfig& config,
                                int max_faults);
@@ -69,13 +74,14 @@ enum class CampaignBug {
   kDropDetection,
 };
 
-/// Run the full stuck-at campaign (run_all) through every engine leg —
-/// levelized cone (the reference), frontier without collapse sharing, and
-/// frontier+collapse at 1, 2 and 4 threads — and require
-/// byte-identical dangerous_lanes / detected_lanes / mismatch_cycles /
-/// first_detect_cycle for every fault. Additionally replays up to
-/// `max_faults` faults (strided across the universe) through serial
-/// PackedSimulator::inject as an engine-independent reference.
+/// Run the full stuck-at campaign (run_all) through every campaign leg —
+/// frontier without collapse sharing, and frontier+collapse at 1, 2 and 4
+/// threads — and require byte-identical dangerous_lanes / detected_lanes /
+/// mismatch_cycles / first_detect_cycle / cone_size for every fault
+/// against the cone-sweep reference run one fault at a time over the same
+/// universe. Additionally replays up to `max_faults` faults (strided
+/// across the universe) through serial PackedSimulator::inject as an
+/// engine-independent reference.
 std::string diff_campaign_equivalence(const designs::Design& design,
                                       const fault::CampaignConfig& config,
                                       int max_faults,

@@ -35,8 +35,9 @@ struct CheckConfig {
   int outputs = 6;
 
   /// Faults cross-checked per fault-oracle trial (strided over the full
-  /// stuck-at universe). The fault oracle runs three simulations per fault,
-  /// so this is the main knob on harness runtime.
+  /// stuck-at universe). The fault oracle runs three simulations per fault
+  /// and six SEU flips per site, so this is the main knob on harness
+  /// runtime.
   int max_faults = 16;
 
   /// Run the serve-vs-pipeline oracle on every k-th trial (it packs, saves

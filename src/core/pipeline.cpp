@@ -80,7 +80,6 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
     cc.dangerous_cycle_fraction = config_.dangerous_cycle_fraction >= 0
                                       ? config_.dangerous_cycle_fraction
                                       : r.design.dangerous_cycle_fraction;
-    cc.engine = config_.campaign_engine;
     cc.collapse_equivalent = config_.campaign_collapse_equivalent;
     cc.static_prune = config_.campaign_static_prune;
     cc.num_threads = config_.campaign_threads;

@@ -41,15 +41,18 @@ struct PipelineConfig {
   int workload_batches = 1;
   /// Overrides the design's dangerous_cycle_fraction when >= 0.
   double dangerous_cycle_fraction = -1.0;
-  /// Campaign engine knobs, passed straight through to CampaignConfig:
-  /// event-driven frontier resim with collapse-equivalence sharing by
-  /// default (bit-identical to the levelized sweep at any thread count —
-  /// the `fcrit check` campaign oracle holds that line).
+  /// Unused: the frontier is the only campaign engine. Kept only because
+  /// the benchmark harness (fcritbench/) still assigns it; delete it with
+  /// the next benchmark change.
   fault::FiEngine campaign_engine = fault::FiEngine::kFrontier;
   /// Unused: nothing reads it. Kept only because the benchmark harness
   /// (fcritbench/) still assigns it; delete it with the next benchmark
   /// change.
   bool campaign_batch_faults = true;
+  /// Campaign knobs, passed straight through to CampaignConfig: frontier
+  /// resim with collapse-equivalence sharing by default (bit-identical to
+  /// the cone-sweep reference at any thread count — the `fcrit check`
+  /// campaign oracle holds that line).
   bool campaign_collapse_equivalent = true;
   /// Static pruning: skip faults whose site cannot reach any output.
   /// Verdict-preserving by construction; --no-static-prune is the escape

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -24,11 +23,6 @@ using netlist::NodeId;
 
 namespace {
 
-bool is_source_kind(CellKind k) {
-  return k == CellKind::kInput || k == CellKind::kConst0 ||
-         k == CellKind::kConst1;
-}
-
 std::uint64_t fault_key(const Fault& f) {
   return (static_cast<std::uint64_t>(f.node) << 1) | (f.stuck_value ? 1 : 0);
 }
@@ -36,8 +30,9 @@ std::uint64_t fault_key(const Fault& f) {
 /// Inlined twin of netlist::eval_packed for the frontier hot loop (the
 /// library version is an out-of-line call, which costs more than the
 /// evaluation itself at frontier eval rates). Semantics must match
-/// src/netlist/cell_library.cpp exactly; the differential tests compare
-/// the engines node-for-node, so any drift trips them immediately.
+/// src/netlist/cell_library.cpp exactly; the tests and `fcrit check`
+/// compare every verdict against the cone-sweep reference, which calls
+/// eval_packed, so any drift trips them immediately.
 inline std::uint64_t eval_cell(CellKind kind, const std::uint64_t* ins) {
   switch (kind) {
     case CellKind::kBuf: return ins[0];
@@ -211,110 +206,6 @@ std::vector<NodeId> FaultCampaign::transitive_fanout(NodeId src) const {
   return queue;
 }
 
-FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
-  if (!golden_ready_)
-    throw std::runtime_error("simulate_fault: golden trace not recorded");
-
-  FaultResult result;
-  result.fault = fault;
-
-  // Cone membership.
-  std::vector<std::uint8_t> in_cone(num_nodes_, 0);
-  if (config_.use_cone_restriction) {
-    for (const NodeId id : transitive_fanout(fault.node)) in_cone[id] = 1;
-  } else {
-    std::fill(in_cone.begin(), in_cone.end(), 1);
-  }
-  // Primary inputs and constants always carry their golden values: they can
-  // never lie in a fault's fanout (the fault universe excludes them), and
-  // in naive mode the evaluation loop must read their stimulus from the
-  // golden trace rather than the (zero-initialized) faulty value array.
-  for (NodeId id = 0; id < num_nodes_; ++id) {
-    if (is_source_kind(nl_->kind(id))) in_cone[id] = 0;
-  }
-
-  // Cone slices in evaluation order.
-  std::vector<NodeId> cone_comb;
-  for (const NodeId id : lev_.order)
-    if (in_cone[id]) cone_comb.push_back(id);
-  std::vector<NodeId> cone_ffs;
-  for (const NodeId ff : nl_->flops())
-    if (in_cone[ff]) cone_ffs.push_back(ff);
-  std::vector<NodeId> cone_pos;
-  for (const auto& port : nl_->outputs())
-    if (in_cone[port.driver]) cone_pos.push_back(port.driver);
-  result.cone_size = static_cast<std::uint32_t>(cone_comb.size() +
-                                                cone_ffs.size());
-
-  const std::uint64_t fault_word = fault.stuck_value ? ~0ULL : 0;
-  const CellKind fault_kind = nl_->kind(fault.node);
-  const bool fault_on_source =
-      is_source_kind(fault_kind) || fault_kind == CellKind::kDff;
-
-  std::vector<std::uint64_t> val(num_nodes_, 0);  // cone values only
-  // uint32: a uint16 counter wraps at 65536 cycles and can flip a Dangerous
-  // lane back below the threshold on long campaigns.
-  std::array<std::uint32_t, sim::kLanes> lane_mismatch_cycles{};
-  std::array<std::uint64_t, netlist::kMaxFanins> ins{};
-  std::vector<std::uint64_t> ff_next(cone_ffs.size(), 0);
-
-  for (int t = 0; t < config_.cycles; ++t) {
-    const std::uint64_t* golden_row =
-        trace_.data() + static_cast<std::size_t>(t) * num_nodes_;
-
-    if (fault_on_source) val[fault.node] = fault_word;
-
-    // Combinational evaluation restricted to the cone; everything outside
-    // reads its recorded golden value.
-    for (const NodeId id : cone_comb) {
-      const netlist::Node& node = nl_->node(id);
-      for (std::size_t i = 0; i < node.fanin_count; ++i) {
-        const NodeId f = node.fanin[i];
-        ins[i] = in_cone[f] ? val[f] : golden_row[f];
-      }
-      std::uint64_t v = netlist::eval_packed(
-          node.kind, std::span(ins.data(), node.fanin_count));
-      if (id == fault.node) v = fault_word;
-      val[id] = v;
-    }
-
-    // Compare primary outputs inside the cone against golden.
-    std::uint64_t any_mismatch = 0;
-    for (const NodeId po : cone_pos) any_mismatch |= val[po] ^ golden_row[po];
-    if (any_mismatch) {
-      if (result.first_detect_cycle < 0) result.first_detect_cycle = t;
-      result.detected_lanes |= any_mismatch;
-      result.mismatch_cycles +=
-          static_cast<std::uint32_t>(std::popcount(any_mismatch));
-      std::uint64_t m = any_mismatch;
-      while (m) {
-        const int lane = std::countr_zero(m);
-        ++lane_mismatch_cycles[static_cast<std::size_t>(lane)];
-        m &= m - 1;
-      }
-    }
-
-    // Clock edge for cone flip-flops.
-    for (std::size_t i = 0; i < cone_ffs.size(); ++i) {
-      const NodeId d = nl_->node(cone_ffs[i]).fanin[0];
-      ff_next[i] = in_cone[d] ? val[d] : golden_row[d];
-    }
-    for (std::size_t i = 0; i < cone_ffs.size(); ++i) {
-      std::uint64_t v = ff_next[i];
-      if (cone_ffs[i] == fault.node) v = fault_word;
-      val[cone_ffs[i]] = v;
-    }
-  }
-
-  const auto threshold =
-      static_cast<std::uint32_t>(config_.min_mismatch_cycles());
-  for (int lane = 0; lane < sim::kLanes; ++lane) {
-    if (lane_mismatch_cycles[static_cast<std::size_t>(lane)] >= threshold)
-      result.dangerous_lanes |= (1ULL << lane);
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Event-driven frontier engine.
 // ---------------------------------------------------------------------------
@@ -359,23 +250,33 @@ struct FaultCampaign::FrontierScratch {
   }
 };
 
-FaultResult FaultCampaign::simulate_fault_frontier(const Fault& fault,
-                                                   FrontierScratch& s) const {
+FaultResult FaultCampaign::simulate_frontier(const Fault& fault,
+                                             int seu_cycle,
+                                             FrontierScratch& s) const {
   s.ensure(num_nodes_, lev_.max_level);
   FaultResult out;
   out.fault = fault;
   const NodeId site = fault.node;
   const std::uint64_t stuck = fault.stuck_value ? ~0ULL : 0;
+  const bool seu = seu_cycle >= 0;
+  // A stuck flop never captures its D; a flipped one captures it again on
+  // the edge that ends its flip cycle.
+  const NodeId pinned = seu ? netlist::kNoNode : site;
 
   // Divergence schedule, one strided sweep over the golden trace up front:
-  // bit t says the stuck word differs from golden on cycle t. Quiet cycles
-  // are then decided from this bitmask (plus the carried flop state)
-  // without touching the trace, which is what makes a mostly-quiescent
-  // fault nearly free to simulate.
+  // bit t says the forced word differs from golden on cycle t (an SEU
+  // differs on its flip cycle only). Quiet cycles are then decided from
+  // this bitmask (plus the carried flop state) without touching the trace,
+  // which is what makes a mostly-quiescent fault nearly free to simulate.
   s.sched.assign((static_cast<std::size_t>(config_.cycles) + 63) / 64, 0);
-  for (int t = 0; t < config_.cycles; ++t)
-    if (trace_[static_cast<std::size_t>(t) * num_nodes_ + site] != stuck)
-      s.sched[static_cast<std::size_t>(t) >> 6] |= 1ULL << (t & 63);
+  if (seu) {
+    const auto c = static_cast<std::size_t>(seu_cycle);
+    s.sched[c >> 6] |= 1ULL << (c & 63);
+  } else {
+    for (int t = 0; t < config_.cycles; ++t)
+      if (trace_[static_cast<std::size_t>(t) * num_nodes_ + site] != stuck)
+        s.sched[static_cast<std::size_t>(t) >> 6] |= 1ULL << (t & 63);
+  }
   const std::uint64_t* sched = s.sched.data();
 
   std::array<std::uint64_t, netlist::kMaxFanins> ins{};
@@ -398,7 +299,7 @@ FaultResult FaultCampaign::simulate_fault_frontier(const Fault& fault,
   std::uint64_t evals = 0;
 
   s.div_ffs.clear();
-  for (int t = 0; t < config_.cycles; ++t) {
+  for (int t = seu ? seu_cycle : 0; t < config_.cycles; ++t) {
     const std::size_t tw = static_cast<std::size_t>(t) >> 6;
     const std::uint64_t tb = 1ULL << (t & 63);
     if (!(sched[tw] & tb) && s.div_ffs.empty()) {
@@ -418,7 +319,7 @@ FaultResult FaultCampaign::simulate_fault_frontier(const Fault& fault,
     // Record a node's divergence from golden and schedule its fanout:
     // combinational consumers join the level-ordered worklist, flip-flops
     // capture the divergent D on this cycle's clock edge (unless the flop
-    // is the forced fault site itself).
+    // is the stuck fault site itself).
     auto mark_divergent = [&](NodeId n, std::uint64_t v) {
       div[n] = {ep, v};
       if (is_po[n]) s.divergent_pos.push_back(n);
@@ -434,19 +335,21 @@ FaultResult FaultCampaign::simulate_fault_frontier(const Fault& fault,
       }
       for (std::uint32_t e = flop_off[n]; e < flop_off[n + 1]; ++e) {
         const NodeId c = flop_edge[e];
-        if (c != site) s.captures.push_back(c);
+        if (c != pinned) s.captures.push_back(c);
       }
     };
 
-    // Seed the frontier. The forced site first pre-claims its worklist
-    // slot — a site's value never depends on its fanins, so even when its
-    // own divergence wraps around through flip-flop state it must not be
-    // re-evaluated — then the site (when the schedule says its stuck word
-    // differs from golden this cycle) and flip-flops whose state diverged
-    // on the previous clock edge (DFFs never appear in the combinational
-    // CSR, so they are never queued).
-    queue_epoch[site] = ep;
-    if (sched[tw] & tb) mark_divergent(site, stuck);
+    // Seed the frontier. While forced, the site first pre-claims its
+    // worklist slot — a forced value never depends on its fanins, so even
+    // when the site's own divergence wraps around through flip-flop state
+    // it must not be re-evaluated — then the site (when the schedule says
+    // its forced word differs from golden this cycle) and flip-flops whose
+    // state diverged on the previous clock edge (DFFs never appear in the
+    // combinational CSR, so they are never queued). A stuck site is forced
+    // on every cycle, a flipped one on its flip cycle only.
+    const bool diverges = (sched[tw] & tb) != 0;
+    if (diverges || !seu) queue_epoch[site] = ep;
+    if (diverges) mark_divergent(site, seu ? ~golden_row[site] : stuck);
     for (const auto& df : s.div_ffs) mark_divergent(df.ff, df.value);
 
     // Drain the worklist in ascending level order; marking a node only
@@ -476,8 +379,8 @@ FaultResult FaultCampaign::simulate_fault_frontier(const Fault& fault,
       bucket.clear();
     }
 
-    // Accumulate the primary-output mismatches (the OR over the divergent
-    // PO drivers — same aggregation as the levelized sweep's any_mismatch).
+    // Accumulate the primary-output mismatches: the OR over the divergent
+    // PO drivers (every other driver matches golden).
     if (!s.divergent_pos.empty()) {
       std::uint64_t m = 0;
       for (const NodeId p : s.divergent_pos) m |= div[p].val ^ golden_row[p];
@@ -512,12 +415,10 @@ FaultResult FaultCampaign::simulate_fault_frontier(const Fault& fault,
 }
 
 FaultResult FaultCampaign::simulate_fault(const Fault& fault) const {
-  if (config_.engine == FiEngine::kLevelized)
-    return simulate_fault_levelized(fault);
   if (!golden_ready_)
     throw std::runtime_error("simulate_fault: golden trace not recorded");
   FrontierScratch scratch;
-  FaultResult result = simulate_fault_frontier(fault, scratch);
+  FaultResult result = simulate_frontier(fault, -1, scratch);
   result.cone_size = static_cone_size(fault.node);
   return result;
 }
@@ -572,7 +473,7 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
       FrontierScratch scratch;
       for (std::size_t k; next(k);) {
         const std::uint32_t i = simulated[k];
-        out.faults[i] = simulate_fault_frontier(faults[i], scratch);
+        out.faults[i] = simulate_frontier(faults[i], -1, scratch);
       }
       evals.fetch_add(scratch.evals, std::memory_order_relaxed);
       early.fetch_add(scratch.early_exits, std::memory_order_relaxed);
@@ -595,31 +496,10 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
   return out;
 }
 
-CampaignResult FaultCampaign::run_levelized(const std::vector<Fault>& faults) {
-  CampaignResult out;
-  out.config = config_;
-  out.num_nodes = num_nodes_;
-  util::Timer timer;
-  out.faults.resize(faults.size());
-  pull_each(config_.num_threads, faults.size(), [&](const auto& next) {
-    for (std::size_t i; next(i);)
-      out.faults[i] = simulate_fault_levelized(faults[i]);
-  });
-  out.fault_seconds = timer.seconds();
-  return out;
-}
-
 std::uint32_t FaultCampaign::static_cone_size(NodeId site) const {
-  if (config_.engine == FiEngine::kLevelized && !config_.use_cone_restriction) {
-    // The naive sweep re-evaluates every non-source node for every fault.
-    std::uint32_t count = 0;
-    for (NodeId id = 0; id < num_nodes_; ++id)
-      if (!is_source_kind(nl_->kind(id))) ++count;
-    return count;
-  }
   std::uint32_t count = 0;
   for (const NodeId id : transitive_fanout(site))
-    if (!is_source_kind(nl_->kind(id))) ++count;
+    if (is_fault_site(*nl_, id)) ++count;
   return count;
 }
 
@@ -643,9 +523,7 @@ CampaignResult FaultCampaign::run(const std::vector<Fault>& faults) {
   }
   const std::vector<Fault>& active = prune ? must_sim : faults;
 
-  CampaignResult out = config_.engine == FiEngine::kFrontier
-                           ? run_frontier(active)
-                           : run_levelized(active);
+  CampaignResult out = run_frontier(active);
   out.golden_seconds = golden_seconds_;
   if (!prune) return out;
 
@@ -683,85 +561,12 @@ FaultCampaign::TransientResult FaultCampaign::simulate_transient(
     throw std::runtime_error("simulate_transient: golden trace not recorded");
   if (inject_cycle < 0 || inject_cycle >= config_.cycles)
     throw std::runtime_error("simulate_transient: cycle out of range");
+  if (node >= num_nodes_ || !is_fault_site(*nl_, node))
+    throw std::runtime_error("simulate_transient: not a fault site");
 
-  TransientResult result;
-  result.node = node;
-  result.inject_cycle = inject_cycle;
-
-  // Same cone machinery as the levelized stuck-at sweep; before the
-  // injection cycle the design is exactly golden, so simulation starts at
-  // inject_cycle with golden flop state. (The frontier engine never
-  // applies here: a one-shot flip has no per-cycle forced site.)
-  std::vector<std::uint8_t> in_cone(num_nodes_, 0);
-  if (config_.use_cone_restriction) {
-    for (const NodeId id : transitive_fanout(node)) in_cone[id] = 1;
-  } else {
-    std::fill(in_cone.begin(), in_cone.end(), 1);
-  }
-  for (NodeId id = 0; id < num_nodes_; ++id) {
-    if (is_source_kind(nl_->kind(id))) in_cone[id] = 0;
-  }
-  // The injected node itself participates even when it is a source (DFF).
-  if (nl_->kind(node) == CellKind::kDff) in_cone[node] = 1;
-
-  std::vector<NodeId> cone_comb;
-  for (const NodeId id : lev_.order)
-    if (in_cone[id]) cone_comb.push_back(id);
-  std::vector<NodeId> cone_ffs;
-  for (const NodeId ff : nl_->flops())
-    if (in_cone[ff]) cone_ffs.push_back(ff);
-  std::vector<NodeId> cone_pos;
-  for (const auto& port : nl_->outputs())
-    if (in_cone[port.driver]) cone_pos.push_back(port.driver);
-
-  std::vector<std::uint64_t> val(num_nodes_, 0);
-  std::array<std::uint64_t, netlist::kMaxFanins> ins{};
-  std::vector<std::uint64_t> ff_next(cone_ffs.size(), 0);
-
-  // Cone flop state at the start of the injection cycle is golden: the
-  // trace rows hold within-cycle values, so the state entering cycle t is
-  // the trace of cycle t-1's committed D — equivalently, the flop's value
-  // recorded *during* cycle t. Seed from the injection cycle's row.
-  const std::uint64_t* inject_row =
-      trace_.data() + static_cast<std::size_t>(inject_cycle) * num_nodes_;
-  for (const NodeId ff : cone_ffs) val[ff] = inject_row[ff];
-
-  for (int t = inject_cycle; t < config_.cycles; ++t) {
-    const std::uint64_t* golden_row =
-        trace_.data() + static_cast<std::size_t>(t) * num_nodes_;
-
-    // A register SEU flips the state *before* the cycle's logic sees it.
-    if (t == inject_cycle && nl_->kind(node) == CellKind::kDff)
-      val[node] = ~val[node];
-
-    for (const NodeId id : cone_comb) {
-      const netlist::Node& n = nl_->node(id);
-      for (std::size_t i = 0; i < n.fanin_count; ++i) {
-        const NodeId f = n.fanin[i];
-        ins[i] = in_cone[f] ? val[f] : golden_row[f];
-      }
-      std::uint64_t v = netlist::eval_packed(
-          n.kind, std::span(ins.data(), n.fanin_count));
-      if (t == inject_cycle && id == node) v = ~v;  // the SEU flip
-      val[id] = v;
-    }
-
-    std::uint64_t any_mismatch = 0;
-    for (const NodeId po : cone_pos) any_mismatch |= val[po] ^ golden_row[po];
-    if (any_mismatch) {
-      result.affected_lanes |= any_mismatch;
-      result.mismatch_cycles +=
-          static_cast<std::uint32_t>(std::popcount(any_mismatch));
-    }
-
-    for (std::size_t i = 0; i < cone_ffs.size(); ++i) {
-      const NodeId d = nl_->node(cone_ffs[i]).fanin[0];
-      ff_next[i] = in_cone[d] ? val[d] : golden_row[d];
-    }
-    for (std::size_t i = 0; i < cone_ffs.size(); ++i)
-      val[cone_ffs[i]] = ff_next[i];
-  }
-  return result;
+  FrontierScratch scratch;
+  const FaultResult r = simulate_frontier({node, false}, inject_cycle, scratch);
+  return {node, inject_cycle, r.detected_lanes, r.mismatch_cycles};
 }
 
 std::vector<double> FaultCampaign::transient_criticality(

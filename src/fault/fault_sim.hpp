@@ -2,35 +2,28 @@
 //
 // One golden pass records a cycle-consistent trace of every node value
 // (64 workload lanes per word). Faults are then simulated differentially
-// against that trace with one of two engines:
+// against that trace by one engine, an event-driven incremental resim with
+// one frontier pass per simulated fault: per cycle a worklist is seeded at
+// the forced fault site and at flip-flops whose state diverged on the
+// previous edge; only nodes with a divergent fanin word are re-evaluated,
+// in ascending level order through the fanout CSR, and propagation stops
+// the moment a node's word matches golden again (logic masking). A cycle
+// whose seeds produce no divergence costs O(1) and is counted as an early
+// exit. Structural collapse-equivalence classes share one simulation
+// (`collapse_equivalent`). Campaign workers pull faults from one shared
+// atomic cursor, and every fault's result lands at its own index.
 //
-//   kLevelized — the original cone-restricted sweep: every node in the
-//     fault's static transitive fanout (crossing flip-flops) is
-//     re-evaluated every cycle; fanins outside the cone read the recorded
-//     golden value. `use_cone_restriction=false` degenerates to the naive
-//     full-netlist sweep (benchmark baseline).
+// Per cycle, the divergent primary outputs are compared against the golden
+// trace, giving a per-lane mismatch mask; a lane whose mismatch-cycle count
+// reaches `min_mismatch_cycles` marks the fault "Dangerous" for that
+// workload — the verdict Algorithm 1 aggregates. FaultResults are
+// byte-identical for every fault in the stuck-at universe, at any thread
+// count and in any fault order, and equal to the test-only cone-sweep
+// reference in src/check/cone_sweep.hpp (tests/fault_batch_test.cpp and
+// the `fcrit check` oracles hold this line).
 //
-//   kFrontier — event-driven incremental resim, one pass per simulated
-//     fault: per cycle a worklist is seeded at the forced fault site and
-//     at flip-flops whose state diverged on the previous edge; only nodes
-//     with a divergent fanin word are re-evaluated, in ascending level
-//     order through the fanout CSR, and propagation stops the moment a
-//     node's word matches golden again (logic masking). A cycle whose
-//     seeds produce no divergence costs O(1) and is counted as an early
-//     exit. Structural collapse-equivalence classes share one simulation
-//     (`collapse_equivalent`).
-//
-// Both engines hand faults to worker lanes from one shared atomic cursor,
-// and every fault's result lands at its own index.
-//
-// Per cycle, primary outputs inside the cone are compared against the
-// golden trace, giving a per-lane mismatch mask; a lane whose
-// mismatch-cycle count reaches `min_mismatch_cycles` marks the fault
-// "Dangerous" for that workload — the verdict Algorithm 1 aggregates.
-// Both engines produce byte-identical FaultResults for every fault in the
-// stuck-at universe, at any thread count and in any fault order
-// (tests/fault_batch_test.cpp and the `fcrit check` campaign oracle hold
-// this line).
+// Transient (SEU) injection runs the same frontier pass, started at the
+// injection cycle with the site flipped for that one cycle.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +35,9 @@
 
 namespace fcrit::fault {
 
-/// Campaign simulation engine selection (see file comment).
+/// The campaign engine: only the event-driven frontier remains.
 enum class FiEngine {
-  kLevelized,  // full cone sweep per cycle (original method)
-  kFrontier,   // event-driven divergence frontier (default)
+  kFrontier,
 };
 
 struct CampaignConfig {
@@ -58,6 +50,9 @@ struct CampaignConfig {
   /// single glitch). 0 degenerates to "any mismatch".
   double dangerous_cycle_fraction = 0.10;
 
+  /// Unused: the frontier is the only engine. Kept only because the
+  /// benchmark harness (fcritbench/) still assigns it; delete it with the
+  /// next benchmark change.
   FiEngine engine = FiEngine::kFrontier;
 
   /// Skip faults whose site cannot reach any primary-output driver
@@ -68,15 +63,12 @@ struct CampaignConfig {
   /// re-simulates every pruned fault to enforce that contract.
   bool static_prune = true;
 
-  /// kLevelized only: disable to benchmark the naive full sweep.
-  bool use_cone_restriction = true;
-
   /// Unused: every frontier campaign runs one pass per simulated fault.
   /// Kept only because the benchmark harness (fcritbench/) still assigns
   /// it; delete it with the next benchmark change.
   bool batch_faults = true;
 
-  /// kFrontier only: simulate one representative per structural
+  /// Simulate one representative per structural
   /// collapse-equivalence class (BUF/INV chain rule, src/fault/collapse)
   /// and share its verdict — exact, because equivalent faults corrupt the
   /// primary outputs identically; each member still reports its own
@@ -120,7 +112,7 @@ struct CampaignResult {
   double fault_seconds = 0.0;
   std::size_t num_nodes = 0;
 
-  // Frontier-engine statistics (zero under kLevelized).
+  // Frontier-engine statistics.
   std::uint32_t simulated_faults = 0;   // after collapse-equivalence sharing
   /// Equals simulated_faults (one pass per simulated fault); kept only
   /// because the benchmark harness (fcritbench/) still reads it.
@@ -157,16 +149,17 @@ class FaultCampaign {
   /// Record the golden trace only (run() does this implicitly).
   void run_golden();
 
-  /// Simulate a single fault against the recorded golden trace using the
-  /// configured engine. Thread-safe once the golden trace is recorded.
+  /// Simulate a single fault against the recorded golden trace (one
+  /// frontier pass). Thread-safe once the golden trace is recorded.
   FaultResult simulate_fault(const Fault& fault) const;
 
   /// Transient (SEU) injection: flip the node's value for exactly one
   /// cycle, then let the fault-free dynamics run on the corrupted state.
   /// Returns the lanes whose primary outputs were ever corrupted and the
-  /// total corrupted (cycle, lane) count. Always uses the levelized cone
-  /// sweep — the frontier machinery does not apply to one-shot flips.
-  /// Thread-safe like simulate_fault.
+  /// total corrupted (cycle, lane) count. `node` must be a fault site
+  /// (fault::is_fault_site) and `inject_cycle` inside the campaign;
+  /// anything else throws std::runtime_error. Thread-safe like
+  /// simulate_fault.
   struct TransientResult {
     netlist::NodeId node = netlist::kNoNode;
     int inject_cycle = 0;
@@ -201,20 +194,21 @@ class FaultCampaign {
   };
 
   std::vector<netlist::NodeId> transitive_fanout(netlist::NodeId src) const;
-  /// The cone_size the configured engine reports for a fault at `site`:
-  /// the frontier engine's results and statically pruned faults take it
-  /// from here, so the campaign output is bit-identical with pruning on
-  /// or off.
+  /// The cone_size reported for a fault at `site` (its static transitive
+  /// fanout without sources): simulated and statically pruned faults both
+  /// take it from here, so the campaign output is bit-identical with
+  /// pruning on or off.
   std::uint32_t static_cone_size(netlist::NodeId site) const;
   void build_frontier_graph();
-  FaultResult simulate_fault_levelized(const Fault& fault) const;
-  /// One frontier pass over the whole campaign for `fault`, reusing the
-  /// worker's scratch. Leaves cone_size 0; callers fill it from
+  /// One frontier pass for the fault at `fault.node`, reusing the worker's
+  /// scratch. `seu_cycle < 0`: the site is stuck at `fault.stuck_value` on
+  /// every cycle. Otherwise the pass starts at `seu_cycle` (the design is
+  /// golden before it) and the site carries its inverted golden word on
+  /// that cycle only. Leaves cone_size 0; callers fill it from
   /// static_cone_size.
-  FaultResult simulate_fault_frontier(const Fault& fault,
-                                      FrontierScratch& s) const;
+  FaultResult simulate_frontier(const Fault& fault, int seu_cycle,
+                                FrontierScratch& s) const;
   CampaignResult run_frontier(const std::vector<Fault>& faults);
-  CampaignResult run_levelized(const std::vector<Fault>& faults);
 
   const netlist::Netlist* nl_;
   sim::StimulusSpec stimulus_;

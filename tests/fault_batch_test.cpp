@@ -2,13 +2,14 @@
 // running the stuck-at universe — one fault at a time, one whole-universe
 // campaign, a shuffled fault list, with or without collapse-equivalence
 // sharing, at any thread count — must produce FaultResults byte-identical
-// to the original levelized one-at-a-time simulation.
+// to the test-only cone-sweep reference run one fault at a time.
 #include <algorithm>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/check/cone_sweep.hpp"
 #include "src/designs/random_circuit.hpp"
 #include "src/fault/collapse.hpp"
 #include "src/fault/fault_sim.hpp"
@@ -78,17 +79,17 @@ void expect_same_result(const FaultResult& a, const FaultResult& b,
       << what << " fault node " << a.fault.node << '/' << a.fault.stuck_value;
 }
 
-/// One-at-a-time levelized reference over the same campaign.
-std::vector<FaultResult> levelized_reference(const Netlist& nl,
-                                             CampaignConfig cfg,
-                                             const std::vector<Fault>& faults) {
-  cfg.engine = FiEngine::kLevelized;
-  cfg.use_cone_restriction = true;
+/// One-at-a-time cone-sweep reference over the same campaign.
+std::vector<FaultResult> sweep_reference(const Netlist& nl,
+                                         const CampaignConfig& cfg,
+                                         const std::vector<Fault>& faults) {
   FaultCampaign camp(nl, default_spec(), cfg);
   camp.run_golden();
+  const netlist::Levelization lev = netlist::levelize(nl);
   std::vector<FaultResult> out;
   out.reserve(faults.size());
-  for (const Fault& f : faults) out.push_back(camp.simulate_fault(f));
+  for (const Fault& f : faults)
+    out.push_back(check::cone_sweep(camp, lev, f));
   return out;
 }
 
@@ -102,14 +103,13 @@ CampaignConfig small_config() {
 class FrontierEquivalenceTest : public ::testing::Test {
  protected:
   /// Check single-fault simulation and one whole-universe campaign of
-  /// `nl` against the levelized one-at-a-time reference. Static pruning is
-  /// off, so dead-cone sites also take the reused-scratch frontier pass.
+  /// `nl` against the one-at-a-time cone-sweep reference. Static pruning
+  /// is off, so dead-cone sites also take the reused-scratch frontier pass.
   void check_circuit(const Netlist& nl, CampaignConfig cfg) {
     const std::vector<Fault> faults = full_fault_list(nl);
     ASSERT_FALSE(faults.empty());
-    const std::vector<FaultResult> ref = levelized_reference(nl, cfg, faults);
+    const std::vector<FaultResult> ref = sweep_reference(nl, cfg, faults);
 
-    cfg.engine = FiEngine::kFrontier;
     cfg.static_prune = false;
     FaultCampaign camp(nl, default_spec(), cfg);
     camp.run_golden();
@@ -162,10 +162,9 @@ TEST(FaultBatch, DffOutputFaultsMatchReference) {
     dff_faults.push_back({ff, true});
   }
   ASSERT_FALSE(dff_faults.empty());
-  const auto ref = levelized_reference(c.nl, cfg, dff_faults);
+  const auto ref = sweep_reference(c.nl, cfg, dff_faults);
 
   CampaignConfig fcfg = cfg;
-  fcfg.engine = FiEngine::kFrontier;
   fcfg.static_prune = false;  // flop-ring sites must be simulated too
   FaultCampaign camp(c.nl, default_spec(), fcfg);
   const auto got = camp.run(dff_faults).faults;
@@ -197,7 +196,7 @@ TEST(FaultBatch, ShuffledFaultListMatchesReference) {
     std::vector<Fault> faults = full_fault_list(nl);
     std::shuffle(faults.begin(), faults.end(), rng);
     const std::vector<FaultResult> ref =
-        levelized_reference(nl, small_config(), faults);
+        sweep_reference(nl, small_config(), faults);
     CampaignConfig cfg = small_config();
     cfg.num_threads = 1;
     cfg.static_prune = false;
@@ -251,30 +250,27 @@ TEST(FaultBatch, ThreadCountSweepIsBitIdentical) {
   }
 }
 
-TEST(FaultBatch, FrontierRunMatchesLevelizedRun) {
+TEST(FaultBatch, PrunedRunMatchesReference) {
+  // The default campaign (static pruning and collapse sharing on) against
+  // the reference: pruned faults must come back with the verdicts and cone
+  // sizes the sweep simulates for them.
   designs::RandomCircuitConfig rc;
   rc.num_gates = 90;
   rc.num_flops = 8;
   rc.seed = 23;
   const designs::Design d = designs::build_random_circuit(rc);
+  const std::vector<Fault> faults = full_fault_list(d.netlist);
+  const std::vector<FaultResult> ref =
+      sweep_reference(d.netlist, small_config(), faults);
 
-  CampaignConfig lcfg = small_config();
-  lcfg.engine = FiEngine::kLevelized;
-  FaultCampaign lev(d.netlist, default_spec(), lcfg);
-  const CampaignResult lr = lev.run_all();
-
-  CampaignConfig fcfg = small_config();
-  FaultCampaign fr(d.netlist, default_spec(), fcfg);
+  FaultCampaign fr(d.netlist, default_spec(), small_config());
   const CampaignResult rr = fr.run_all();
-
-  ASSERT_EQ(lr.faults.size(), rr.faults.size());
-  for (std::size_t i = 0; i < lr.faults.size(); ++i)
-    expect_same_result(rr.faults[i], lr.faults[i], "engine-equivalence");
-  // The frontier run reports its statistics; the levelized one does not.
+  ASSERT_EQ(rr.faults.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    expect_same_result(rr.faults[i], ref[i], "default-run");
   EXPECT_GT(rr.simulated_faults, 0u);
   EXPECT_LE(rr.simulated_faults, rr.faults.size());
   EXPECT_GT(rr.frontier_evals, 0u);
-  EXPECT_EQ(lr.simulated_faults, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/cone_sweep.hpp"
 #include "src/designs/designs.hpp"
 #include "src/rtl/builder.hpp"
 
@@ -205,33 +206,30 @@ TEST(FaultCampaign, ThreadedRunMatchesSerial) {
   }
 }
 
-/// The central correctness property of the fast path: cone-restricted
-/// differential simulation must match the naive full re-simulation exactly.
+/// The central correctness property of the fast path: the frontier pass
+/// must match the test-only cone-sweep reference exactly, cone size
+/// included.
 class ConeEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(ConeEquivalenceTest, ConeMatchesNaiveOnRealDesign) {
+TEST_P(ConeEquivalenceTest, FrontierMatchesConeSweepOnRealDesign) {
   auto design = designs::build_design(GetParam());
-  CampaignConfig fast;
-  fast.cycles = 24;
-  fast.use_cone_restriction = true;
-  CampaignConfig naive = fast;
-  naive.use_cone_restriction = false;
-
-  FaultCampaign cf(design.netlist, design.stimulus, fast);
-  FaultCampaign cn(design.netlist, design.stimulus, naive);
-  cf.run_golden();
-  cn.run_golden();
+  CampaignConfig cfg;
+  cfg.cycles = 24;
+  FaultCampaign campaign(design.netlist, design.stimulus, cfg);
+  campaign.run_golden();
+  const netlist::Levelization lev = netlist::levelize(design.netlist);
 
   // Check a deterministic sample of faults (every 7th site, both kinds).
   const auto faults = full_fault_list(design.netlist);
   for (std::size_t i = 0; i < faults.size(); i += 7) {
-    const FaultResult rf = cf.simulate_fault(faults[i]);
-    const FaultResult rn = cn.simulate_fault(faults[i]);
-    EXPECT_EQ(rf.dangerous_lanes, rn.dangerous_lanes)
+    const FaultResult rf = campaign.simulate_fault(faults[i]);
+    const FaultResult rs = check::cone_sweep(campaign, lev, faults[i]);
+    EXPECT_EQ(rf.dangerous_lanes, rs.dangerous_lanes)
         << fault_name(design.netlist, faults[i]);
-    EXPECT_EQ(rf.detected_lanes, rn.detected_lanes);
-    EXPECT_EQ(rf.mismatch_cycles, rn.mismatch_cycles);
-    EXPECT_LE(rf.cone_size, rn.cone_size);
+    EXPECT_EQ(rf.detected_lanes, rs.detected_lanes);
+    EXPECT_EQ(rf.mismatch_cycles, rs.mismatch_cycles);
+    EXPECT_EQ(rf.first_detect_cycle, rs.first_detect_cycle);
+    EXPECT_EQ(rf.cone_size, rs.cone_size);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/cone_sweep.hpp"
 #include "src/fault/fault_sim.hpp"
 #include "src/netlist/levelize.hpp"
 #include "src/netlist/verilog_parser.hpp"
@@ -51,35 +52,32 @@ TEST(RandomCircuit, DegenerateConfigThrows) {
   EXPECT_THROW(build_random_circuit(cfg), std::runtime_error);
 }
 
-/// Property sweep: the cone-restricted fault simulator agrees with the
-/// naive one on randomly-structured sequential circuits.
+/// Property sweep: the frontier fault simulator agrees with the test-only
+/// cone-sweep reference on randomly-structured sequential circuits.
 class RandomConeEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(RandomConeEquivalence, ConeMatchesNaive) {
+TEST_P(RandomConeEquivalence, FrontierMatchesConeSweep) {
   RandomCircuitConfig cfg;
   cfg.seed = GetParam();
   cfg.num_gates = 120;
   cfg.num_flops = 10;
   const auto d = build_random_circuit(cfg);
 
-  fault::CampaignConfig fast;
-  fast.cycles = 24;
-  fast.seed = GetParam();
-  fault::CampaignConfig naive = fast;
-  naive.use_cone_restriction = false;
-
-  fault::FaultCampaign cf(d.netlist, d.stimulus, fast);
-  fault::FaultCampaign cn(d.netlist, d.stimulus, naive);
-  cf.run_golden();
-  cn.run_golden();
+  fault::CampaignConfig fc;
+  fc.cycles = 24;
+  fc.seed = GetParam();
+  fault::FaultCampaign campaign(d.netlist, d.stimulus, fc);
+  campaign.run_golden();
+  const netlist::Levelization lev = netlist::levelize(d.netlist);
   const auto faults = fault::full_fault_list(d.netlist);
   for (std::size_t i = 0; i < faults.size(); i += 5) {
-    const auto rf = cf.simulate_fault(faults[i]);
-    const auto rn = cn.simulate_fault(faults[i]);
-    EXPECT_EQ(rf.dangerous_lanes, rn.dangerous_lanes)
+    const auto rf = campaign.simulate_fault(faults[i]);
+    const auto rs = check::cone_sweep(campaign, lev, faults[i]);
+    EXPECT_EQ(rf.dangerous_lanes, rs.dangerous_lanes)
         << fault_name(d.netlist, faults[i]);
-    EXPECT_EQ(rf.mismatch_cycles, rn.mismatch_cycles);
+    EXPECT_EQ(rf.mismatch_cycles, rs.mismatch_cycles);
+    EXPECT_EQ(rf.cone_size, rs.cone_size);
   }
 }
 
